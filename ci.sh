@@ -7,7 +7,8 @@
 #   ./ci.sh            # build + test + clippy + telemetry-manifest gate
 #
 # Gating steps (any failure fails CI):
-#   1. release build           2. full test suite
+#   1. release build           2. full test suite, plus the e2ebench
+#                                 workspace's own tests
 #   3. clippy -D warnings      (skipped gracefully when the toolchain
 #                               ships without clippy)
 #   4. quickstart example must produce a well-formed
@@ -68,8 +69,14 @@ fail=0
 # 1. Release build of every crate, offline.
 run cargo build --release --offline --workspace || fail=1
 
-# 2. The full test suite (unit + integration + property + doc), offline.
+# 2. The full test suite (unit + integration + property + doc), offline,
+#    then the end-to-end benchmark's own tests: `e2ebench/` is a separate
+#    workspace, so the workspace build never compiles it and an API change
+#    that breaks the benchmark would otherwise surface only at bench time.
+#    One test thread: each test checks that timed layers add up to the
+#    measured total, which concurrent tests competing for the CPUs upset.
 run cargo test -q --offline --workspace || fail=1
+run cargo test --release --offline --manifest-path e2ebench/Cargo.toml -- --test-threads=1 || fail=1
 
 if [ "$fail" -ne 0 ]; then
     echo

@@ -27,7 +27,9 @@
 //!
 //! Steal/completion order therefore only shows up in the per-worker
 //! [`WorkerReport`] diagnostics, which are deliberately kept out of the
-//! deterministic artifacts.
+//! deterministic artifacts. Workers record only commutative counters and
+//! histograms, into the caller's recorder; they open no spans, whose
+//! start ordinals would follow the schedule.
 //!
 //! ## Why this stays polite
 //!
@@ -198,27 +200,20 @@ pub fn run_iteration(
             let killed = &killed;
             let ambient = ambient.clone();
             s.spawn(move || {
-                // Commutative counters/histograms flow into the shared
-                // ambient recorder; schedule-dependent span attribution
-                // stays on a worker-local recorder aggregated below.
+                // Only commutative counters and histograms are recorded
+                // from workers, so the shared ambient recorder stays
+                // independent of the schedule.
                 let _scope = ambient.enter();
-                let local = telemetry::Recorder::new();
                 let mut report = WorkerReport { worker: w, ..WorkerReport::default() };
                 while !killed.load(Ordering::Acquire) {
                     let (job, stolen) = match next_job(deques, w) {
                         Some(pair) => pair,
                         None => break,
                     };
-                    local.set_virtual_clock(Arc::clone(&job.lane) as Arc<dyn telemetry::VirtualClock>);
-                    let span = local.span_starting_at(
-                        &format!("shard.{}.{}", job.market.name(), job.chain),
-                        job.lane.start_us(),
-                    );
                     let shard_client =
                         client.fork_for_shard(Arc::clone(&job.lane), job.host_share);
                     let mut crawler = MarketplaceCrawler::new(&shard_client, job.market);
                     let (records, stats) = crawler.crawl_chain(&job.seed_url, iteration);
-                    drop(span);
                     report.shards_run += 1;
                     report.shards_stolen += usize::from(stolen);
                     report.busy_virtual_us += job.lane.now_us() - job.lane.start_us();

@@ -113,12 +113,6 @@ impl Lane {
     }
 }
 
-impl telemetry::VirtualClock for Lane {
-    fn now_us(&self) -> u64 {
-        Lane::now_us(self)
-    }
-}
-
 impl std::fmt::Debug for Lane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Lane")

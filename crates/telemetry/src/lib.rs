@@ -12,10 +12,10 @@
 //!
 //! * [`metrics`] — a lock-sharded registry of counters, gauges, and
 //!   log-bucketed histograms, cheap enough for per-request hot paths;
-//! * [`span`] — hierarchical spans that record **both** wall time and
-//!   the simulation's virtual time;
-//! * [`events`] — a bounded ring buffer of virtual-time-stamped
-//!   breadcrumbs;
+//! * [`journal`] — the one store for spans and events: hierarchical
+//!   spans that record **both** wall time and the simulation's virtual
+//!   time, the last 1024 virtual-time-stamped events, and the optional
+//!   trace sink both are mirrored into;
 //! * [`recorder`] — the pluggable [`Recorder`] handle: a global default,
 //!   thread-scoped overrides for tests and concurrent studies, and a
 //!   no-op-cheap disabled fallback;
@@ -58,13 +58,12 @@
 //! and stripped by [`RunManifest::deterministic_json`], which the
 //! determinism suite compares byte-for-byte across same-seed runs.
 
-pub mod events;
+pub mod journal;
 pub mod manifest;
 pub mod metrics;
 pub mod prom;
 pub mod recorder;
 pub mod snapshot;
-pub mod span;
 pub mod trace;
 
 pub use manifest::{digest64, normalize_for_determinism, RunManifest, REPORT_FILE};

@@ -4,13 +4,14 @@
 //! seed, a digest of the configuration, per-stage timings on both clocks,
 //! every counter/gauge/histogram, the crawl-provenance table (pages and
 //! offers per marketplace), the per-platform API outcome tallies, and the
-//! retained event log.
+//! retained events.
 //!
 //! **Determinism contract:** every field except the `wall_*` ones is a
 //! pure function of the seed. [`RunManifest::deterministic_json`] strips
 //! the wall fields, and the determinism suite asserts two same-seed runs
 //! render that view byte-identically.
 
+use crate::journal::Event;
 use crate::metrics::{fnv1a64, Histogram, Key};
 use crate::recorder::Recorder;
 use foundation::json::{Json, JsonCodec};
@@ -104,17 +105,6 @@ pub struct ApiStat {
     pub calls: u64,
 }
 
-/// One retained event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventReport {
-    /// Virtual timestamp (µs since epoch).
-    pub at_virtual_us: u64,
-    /// Event name.
-    pub name: String,
-    /// Detail string.
-    pub detail: String,
-}
-
 /// The run manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunManifest {
@@ -146,7 +136,7 @@ pub struct RunManifest {
     /// Per-platform × outcome API tallies.
     pub api: Vec<ApiStat>,
     /// Retained events, oldest first.
-    pub events: Vec<EventReport>,
+    pub events: Vec<Event>,
 }
 
 json_codec_struct! {
@@ -156,7 +146,6 @@ json_codec_struct! {
     HistogramReport { key, count, sum, min, max, p50, p90, p99 }
     CrawlStat { marketplace, pages, offers, fetch_errors, gone_offers }
     ApiStat { platform, outcome, calls }
-    EventReport { at_virtual_us, name, detail }
     RunManifest {
         schema, run, seed, config_digest, virtual_start_us, virtual_end_us,
         wall_ms, stages, counters, gauges, histograms, crawl, api, events,
@@ -280,15 +269,7 @@ impl Recorder {
                 .collect(),
             crawl,
             api,
-            events: self
-                .events()
-                .into_iter()
-                .map(|e| EventReport {
-                    at_virtual_us: e.at_virtual_us,
-                    name: e.name,
-                    detail: e.detail,
-                })
-                .collect(),
+            events: self.events(),
         }
     }
 }

@@ -71,6 +71,9 @@ impl Key {
     }
 }
 
+/// Buckets per [`Histogram`]: one for zero plus one per bit length.
+pub(crate) const BUCKETS: usize = 65;
+
 /// A log-bucketed histogram over `u64` samples (virtual microseconds,
 /// queue depths, ...). Bucket `i` holds values whose bit length is `i`,
 /// i.e. `[2^(i-1), 2^i)`; bucket 0 holds zero. Quantiles are resolved to
@@ -78,7 +81,7 @@ impl Key {
 /// deterministic and within one power of two of the true value.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    counts: [u64; 65],
+    counts: [u64; BUCKETS],
     count: u64,
     sum: u64,
     min: u64,
@@ -87,7 +90,7 @@ pub struct Histogram {
 
 impl Default for Histogram {
     fn default() -> Self {
-        Histogram { counts: [0; 65], count: 0, sum: 0, min: u64::MAX, max: 0 }
+        Histogram { counts: [0; BUCKETS], count: 0, sum: 0, min: u64::MAX, max: 0 }
     }
 }
 
@@ -154,7 +157,7 @@ impl Histogram {
     /// Raw per-bucket counts (65 log₂ buckets; see the type docs for the
     /// bucket layout). Exposed so checkpoints can serialize a histogram
     /// exactly and rebuild it with [`Histogram::from_parts`].
-    pub fn bucket_counts(&self) -> &[u64; 65] {
+    pub fn bucket_counts(&self) -> &[u64; BUCKETS] {
         &self.counts
     }
 

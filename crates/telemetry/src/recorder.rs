@@ -17,10 +17,9 @@
 
 // conformance: atomics(acquire, release) — epoch swaps publish with release and load with acquire
 
-use crate::events::{Event, EventLog};
+use crate::journal::{Event, FinishedSpan, Journal};
 use crate::metrics::{Histogram, Key, Registry};
-use crate::span::{FinishedSpan, SpanTicket, SpanTracker};
-use crate::trace::{TraceCat, Tracer};
+use crate::trace::Tracer;
 use foundation::sync::Mutex;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -37,17 +36,13 @@ pub trait VirtualClock: Send + Sync {
 struct Inner {
     enabled: bool,
     registry: Registry,
-    events: EventLog,
-    spans: SpanTracker,
+    journal: Journal,
     virtual_clock: Mutex<Option<Arc<dyn VirtualClock>>>,
     started_wall: Instant,
-    /// Optional live-trace sink: finished spans and events are mirrored
-    /// into its per-thread rings for the ops plane's wall-clock view.
-    trace: Mutex<Option<Tracer>>,
 }
 
-/// A cheaply cloneable telemetry handle. All clones share one registry,
-/// event ring, and span tracker.
+/// A cheaply cloneable telemetry handle. All clones share one registry
+/// and one span/event journal.
 #[derive(Clone)]
 pub struct Recorder {
     inner: Arc<Inner>,
@@ -60,11 +55,9 @@ impl Recorder {
             inner: Arc::new(Inner {
                 enabled: true,
                 registry: Registry::new(),
-                events: EventLog::default(),
-                spans: SpanTracker::default(),
+                journal: Journal::default(),
                 virtual_clock: Mutex::new(None),
                 started_wall: Instant::now(),
-                trace: Mutex::new(None),
             }),
         }
     }
@@ -77,11 +70,9 @@ impl Recorder {
                 inner: Arc::new(Inner {
                     enabled: false,
                     registry: Registry::new(),
-                    events: EventLog::with_capacity(1),
-                    spans: SpanTracker::default(),
+                    journal: Journal::default(),
                     virtual_clock: Mutex::new(None),
                     started_wall: Instant::now(),
-                    trace: Mutex::new(None),
                 }),
             })
             .clone()
@@ -124,12 +115,7 @@ impl Recorder {
         if !self.inner.enabled {
             return;
         }
-        *self.inner.trace.lock() = Some(tracer);
-    }
-
-    /// The currently attached trace sink, if any.
-    pub fn trace_sink(&self) -> Option<Tracer> {
-        self.inner.trace.lock().clone()
+        self.inner.journal.set_sink(tracer);
     }
 
     // ---- writes -------------------------------------------------------
@@ -158,17 +144,17 @@ impl Recorder {
         self.inner.registry.observe(name, labels, value);
     }
 
-    /// Record one event into the ring buffer (virtual timestamp).
+    /// Record one event into the journal (virtual timestamp).
     pub fn event(&self, name: &str, detail: impl Into<String>) {
         if !self.inner.enabled {
             return;
         }
-        let detail = detail.into();
-        let at = self.virtual_now();
-        if let Some(tracer) = self.trace_sink() {
-            tracer.record_instant(name, TraceCat::Event, at, detail.clone());
-        }
-        self.inner.events.push(at, name, detail);
+        let at_virtual_us = self.virtual_now();
+        self.inner.journal.record(Event {
+            at_virtual_us,
+            name: name.to_string(),
+            detail: detail.into(),
+        });
     }
 
     /// Open a span; it closes (and records) when the guard drops.
@@ -176,15 +162,7 @@ impl Recorder {
         if !self.inner.enabled {
             return Span { live: None };
         }
-        let ticket = self.inner.spans.start(name);
-        Span {
-            live: Some(LiveSpan {
-                rec: self.clone(),
-                ticket,
-                virtual_start_us: self.virtual_now(),
-                wall_start: Instant::now(),
-            }),
-        }
+        self.span_starting_at(name, self.virtual_now())
     }
 
     /// Open a span whose *virtual* start stamp is `virtual_start_us`
@@ -196,12 +174,10 @@ impl Recorder {
         if !self.inner.enabled {
             return Span { live: None };
         }
-        let ticket = self.inner.spans.start(name);
         Span {
             live: Some(LiveSpan {
                 rec: self.clone(),
-                ticket,
-                virtual_start_us,
+                span: self.inner.journal.open(name, virtual_start_us),
                 wall_start: Instant::now(),
             }),
         }
@@ -236,12 +212,12 @@ impl Recorder {
 
     /// Retained events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.inner.events.snapshot()
+        self.inner.journal.events()
     }
 
     /// Finished spans in start order.
     pub fn finished_spans(&self) -> Vec<FinishedSpan> {
-        self.inner.spans.finished()
+        self.inner.journal.spans()
     }
 
     // ---- internal state hooks (snapshot/restore) ----------------------
@@ -250,12 +226,8 @@ impl Recorder {
         &self.inner.registry
     }
 
-    pub(crate) fn events_ref(&self) -> &EventLog {
-        &self.inner.events
-    }
-
-    pub(crate) fn spans_ref(&self) -> &SpanTracker {
-        &self.inner.spans
+    pub(crate) fn journal_ref(&self) -> &Journal {
+        &self.inner.journal
     }
 
     // ---- scoping ------------------------------------------------------
@@ -276,12 +248,7 @@ impl Default for Recorder {
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Recorder(enabled={}, spans={})",
-            self.inner.enabled,
-            self.inner.spans.open_count()
-        )
+        write!(f, "Recorder(enabled={})", self.inner.enabled)
     }
 }
 
@@ -292,35 +259,17 @@ pub struct Span {
 
 struct LiveSpan {
     rec: Recorder,
-    ticket: SpanTicket,
-    virtual_start_us: u64,
+    /// Stamped with the start; the end fields are filled in on drop.
+    span: FinishedSpan,
     wall_start: Instant,
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(live) = self.live.take() {
-            let virtual_end = live.rec.virtual_now();
-            let wall_ns = live.wall_start.elapsed().as_nanos() as u64;
-            if let Some(tracer) = live.rec.trace_sink() {
-                let wall_dur_us = wall_ns / 1_000;
-                let wall_end_us = tracer.wall_now_us();
-                tracer.record_complete(
-                    &live.ticket.name,
-                    TraceCat::Stage,
-                    wall_end_us.saturating_sub(wall_dur_us),
-                    wall_dur_us,
-                    live.virtual_start_us,
-                    virtual_end.saturating_sub(live.virtual_start_us),
-                    live.ticket.path.clone(),
-                );
-            }
-            live.rec.inner.spans.finish(
-                live.ticket,
-                live.virtual_start_us,
-                virtual_end,
-                wall_ns,
-            );
+        if let Some(mut live) = self.live.take() {
+            live.span.virtual_end_us = live.rec.virtual_now();
+            live.span.wall_ns = live.wall_start.elapsed().as_nanos() as u64;
+            live.rec.inner.journal.record(live.span);
         }
     }
 }

@@ -10,20 +10,21 @@
 //!
 //! Two deliberate asymmetries versus the live recorder:
 //!
-//! * **Wall clocks are not restored.** `wall_ns` on restored spans is 0 —
-//!   wall fields are stripped from the manifest's deterministic view
-//!   anyway, and pretending a resumed process inherited the dead
-//!   process's wall time would be a lie.
-//! * **Open spans are not snapshotted.** The snapshot stores
-//!   [`SpanTracker::next_seq_excluding_open`], and the resuming pipeline
+//! * **Wall clocks are not captured.** `wall_ns` on snapshotted spans is
+//!   0 and the span codec never writes it — wall fields are stripped
+//!   from the manifest's deterministic view anyway, and pretending a
+//!   resumed process inherited the dead process's wall time would be a
+//!   lie.
+//! * **Open spans are not snapshotted.** The snapshot stores the next
+//!   start ordinal not counting open spans, and the resuming pipeline
 //!   reopens its live stage span via [`Recorder::span_starting_at`] so the
 //!   span re-consumes the same start ordinal and start stamp it had.
 //!
 //! [`RunManifest`]: crate::manifest::RunManifest
 
-use crate::metrics::{Histogram, Key};
+use crate::journal::{Event, FinishedSpan};
+use crate::metrics::{Histogram, Key, BUCKETS};
 use crate::recorder::Recorder;
-use crate::span::FinishedSpan;
 use foundation::json_codec_struct;
 
 /// Snapshot schema identifier.
@@ -92,35 +93,6 @@ pub struct HistogramSnap {
     pub max: u64,
 }
 
-/// One retained event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventSnap {
-    /// Virtual timestamp (µs since epoch).
-    pub at_virtual_us: u64,
-    /// Event name.
-    pub name: String,
-    /// Detail string.
-    pub detail: String,
-}
-
-/// One finished span (wall duration intentionally dropped; see the
-/// module docs).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanSnap {
-    /// Span name.
-    pub name: String,
-    /// Slash-joined path.
-    pub path: String,
-    /// Nesting depth.
-    pub depth: usize,
-    /// Start ordinal.
-    pub start_seq: u64,
-    /// Virtual time at start (µs since epoch).
-    pub virtual_start_us: u64,
-    /// Virtual time at end (µs since epoch).
-    pub virtual_end_us: u64,
-}
-
 /// The full deterministic state of a [`Recorder`] at one instant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySnapshot {
@@ -133,9 +105,10 @@ pub struct TelemetrySnapshot {
     /// All histograms, sorted by key.
     pub histograms: Vec<HistogramSnap>,
     /// Retained events, oldest first.
-    pub events: Vec<EventSnap>,
-    /// Finished spans in start order.
-    pub spans: Vec<SpanSnap>,
+    pub events: Vec<Event>,
+    /// Finished spans in start order, `wall_ns` zeroed (see the module
+    /// docs).
+    pub spans: Vec<FinishedSpan>,
     /// Next span start ordinal, excluding spans open at snapshot time
     /// (they re-consume their ordinal when reopened on resume).
     pub next_seq: u64,
@@ -147,8 +120,6 @@ json_codec_struct! {
     GaugeSnap { name, labels, value }
     BucketSnap { idx, n }
     HistogramSnap { name, labels, buckets, count, sum, min, max }
-    EventSnap { at_virtual_us, name, detail }
-    SpanSnap { name, path, depth, start_seq, virtual_start_us, virtual_end_us }
     TelemetrySnapshot { schema, counters, gauges, histograms, events, spans, next_seq }
 }
 
@@ -173,6 +144,25 @@ impl TelemetrySnapshot {
             return Err(format!("unknown snapshot schema {:?}", self.schema));
         }
         for h in &self.histograms {
+            // Strictly ascending and in range, so the restore keeps every
+            // bucket: `Histogram::from_parts` drops an out-of-range index
+            // and keeps only the last value of a repeated one.
+            for pair in h.buckets.windows(2) {
+                if pair[1].idx <= pair[0].idx {
+                    return Err(format!(
+                        "histogram {:?}: bucket index {} repeated or out of order",
+                        h.name, pair[1].idx
+                    ));
+                }
+            }
+            if let Some(b) = h.buckets.iter().find(|b| b.idx >= BUCKETS as u64) {
+                return Err(format!(
+                    "histogram {:?}: bucket index {} out of range 0..={}",
+                    h.name,
+                    b.idx,
+                    BUCKETS - 1
+                ));
+            }
             let bucket_total: u64 = h.buckets.iter().map(|b| b.n).sum();
             if bucket_total != h.count {
                 return Err(format!(
@@ -183,6 +173,15 @@ impl TelemetrySnapshot {
             if h.count > 0 && h.min > h.max {
                 return Err(format!("histogram {:?}: min > max", h.name));
             }
+        }
+        // A resumed recorder hands out ordinals from `next_seq` on; a
+        // finished span at or past it would share its ordinal with a
+        // later span and reorder the stage table.
+        if let Some(s) = self.spans.iter().find(|s| s.start_seq >= self.next_seq) {
+            return Err(format!(
+                "span {:?}: start_seq {} is not below next_seq {}",
+                s.path, s.start_seq, self.next_seq
+            ));
         }
         Ok(())
     }
@@ -223,31 +222,19 @@ impl Recorder {
                 max: h.max(),
             })
             .collect();
-        let events = self
-            .events()
-            .into_iter()
-            .map(|e| EventSnap { at_virtual_us: e.at_virtual_us, name: e.name, detail: e.detail })
-            .collect();
         let spans = self
             .finished_spans()
             .into_iter()
-            .map(|s| SpanSnap {
-                name: s.name,
-                path: s.path,
-                depth: s.depth,
-                start_seq: s.start_seq,
-                virtual_start_us: s.virtual_start_us,
-                virtual_end_us: s.virtual_end_us,
-            })
+            .map(|s| FinishedSpan { wall_ns: 0, ..s })
             .collect();
         TelemetrySnapshot {
             schema: SNAPSHOT_SCHEMA.to_string(),
             counters,
             gauges,
             histograms,
-            events,
+            events: self.events(),
             spans,
-            next_seq: self.spans_ref().next_seq_excluding_open(),
+            next_seq: self.journal_ref().resume_seq(),
         }
     }
 
@@ -275,23 +262,7 @@ impl Recorder {
                 Histogram::from_parts(&buckets, h.count, h.sum, h.min, h.max),
             );
         }
-        for e in &snap.events {
-            rec.events_ref().push(e.at_virtual_us, &e.name, e.detail.clone());
-        }
-        let finished: Vec<FinishedSpan> = snap
-            .spans
-            .iter()
-            .map(|s| FinishedSpan {
-                name: s.name.clone(),
-                path: s.path.clone(),
-                depth: s.depth,
-                start_seq: s.start_seq,
-                virtual_start_us: s.virtual_start_us,
-                virtual_end_us: s.virtual_end_us,
-                wall_ns: 0,
-            })
-            .collect();
-        rec.spans_ref().restore(finished, snap.next_seq);
+        rec.journal_ref().restore(snap.spans.clone(), snap.events.clone(), snap.next_seq);
         rec
     }
 }

@@ -7,6 +7,7 @@
 //! `value -> to_string -> from_str -> value` checked for equality, and the
 //! decoders are probed with the classic malformed shapes: unknown enum
 //! variants, missing fields, wrong primitive types, truncated documents.
+//! The two telemetry formats a run persists are pinned byte for byte.
 
 use acctrade::crawler::record::{
     Dataset, FetchStatus, OfferRecord, PostRecord, ProfileRecord, UndergroundRecord,
@@ -23,7 +24,11 @@ use acctrade::social::account::{
 use acctrade::social::api::{ApiPost, ApiProfile};
 use acctrade::social::platform::{Platform, ALL_PLATFORMS};
 use acctrade::social::post::{Post, PostId};
+use acctrade::telemetry::snapshot::HistogramSnap;
+use acctrade::telemetry::{digest64, Recorder, Span, TelemetrySnapshot, VirtualClock};
 use foundation::json::{self, JsonCodec};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Encode → decode → compare, returning the wire string for extra checks.
 fn roundtrip<T: JsonCodec + PartialEq + std::fmt::Debug>(value: &T) -> String {
@@ -655,4 +660,311 @@ fn conformance_arch_baseline_roundtrips() {
     let parsed: report::ArchBaseline = json::from_str(&committed).expect("baseline parses");
     assert_eq!(json::to_string_pretty(&parsed) + "\n", committed, "canonical formatting");
     assert!(parsed.crates.len() >= 14, "every workspace crate is pinned");
+}
+
+// ------------------------------------------------------------ telemetry --
+
+/// A virtual clock the telemetry fixtures set by hand.
+struct ManualClock(AtomicU64);
+
+impl ManualClock {
+    fn set(&self, us: u64) {
+        self.0.store(us, Ordering::Relaxed);
+    }
+}
+
+impl VirtualClock for ManualClock {
+    fn now_us(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// A recorder holding every kind of persisted telemetry state: a span
+/// with a nested child, a span still open (returned as the guard),
+/// events, counters, a gauge and a histogram.
+fn telemetry_fixture() -> (Recorder, Span) {
+    let clock = Arc::new(ManualClock(AtomicU64::new(1_000)));
+    let rec = Recorder::new();
+    rec.set_virtual_clock(clock.clone());
+    {
+        let _deploy = rec.span("deploy");
+        clock.set(1_500);
+        {
+            let _render = rec.span("render");
+            clock.set(2_250);
+        }
+        rec.event("deploy.done", "marketplaces=11");
+    }
+    clock.set(3_000);
+    let open = rec.span("crawl_campaign");
+    clock.set(7_500);
+    rec.event("campaign.iteration", "iteration=0");
+    rec.incr("crawl.pages", &[("marketplace", "Accsmarket")], 12);
+    rec.incr("crawl.offers", &[("marketplace", "Accsmarket")], 9);
+    rec.incr("api.calls", &[("platform", "X"), ("outcome", "ok")], 4);
+    rec.gauge_set("crawl.frontier_peak", &[], 17.5);
+    for v in [0, 300, 700, 1_000_000] {
+        rec.observe("net.latency_us", &[("host", "x.com")], v);
+    }
+    (rec, open)
+}
+
+/// The checkpointed snapshot and the deterministic manifest are the two
+/// telemetry formats that outlive a process: `checkpoint.json` embeds the
+/// first, and determinism comparisons read the second. Pin their exact
+/// bytes so a codec change cannot slip through a round-trip test.
+#[test]
+fn telemetry_snapshot_and_manifest_match_golden() {
+    let (rec, open) = telemetry_fixture();
+    let snapshot = rec.snapshot();
+    assert!(snapshot.validate().is_ok(), "{:?}", snapshot.validate());
+    assert_eq!(json::to_string_pretty(&snapshot), TELEMETRY_SNAPSHOT_GOLDEN);
+    // A restored recorder snapshots to the same bytes.
+    let restored = Recorder::from_snapshot(&snapshot);
+    assert_eq!(json::to_string_pretty(&restored.snapshot()), TELEMETRY_SNAPSHOT_GOLDEN);
+    let manifest = rec.manifest("golden", 7, &digest64("cfg"));
+    assert_eq!(manifest.deterministic_string(), TELEMETRY_MANIFEST_GOLDEN);
+    drop(open);
+}
+
+const TELEMETRY_SNAPSHOT_GOLDEN: &str = r#"{
+  "schema": "acctrade-telemetry-snapshot/v1",
+  "counters": [
+    {
+      "name": "api.calls",
+      "labels": [
+        {
+          "k": "outcome",
+          "v": "ok"
+        },
+        {
+          "k": "platform",
+          "v": "X"
+        }
+      ],
+      "value": 4
+    },
+    {
+      "name": "crawl.offers",
+      "labels": [
+        {
+          "k": "marketplace",
+          "v": "Accsmarket"
+        }
+      ],
+      "value": 9
+    },
+    {
+      "name": "crawl.pages",
+      "labels": [
+        {
+          "k": "marketplace",
+          "v": "Accsmarket"
+        }
+      ],
+      "value": 12
+    }
+  ],
+  "gauges": [
+    {
+      "name": "crawl.frontier_peak",
+      "labels": [],
+      "value": 17.5
+    }
+  ],
+  "histograms": [
+    {
+      "name": "net.latency_us",
+      "labels": [
+        {
+          "k": "host",
+          "v": "x.com"
+        }
+      ],
+      "buckets": [
+        {
+          "idx": 0,
+          "n": 1
+        },
+        {
+          "idx": 9,
+          "n": 1
+        },
+        {
+          "idx": 10,
+          "n": 1
+        },
+        {
+          "idx": 20,
+          "n": 1
+        }
+      ],
+      "count": 4,
+      "sum": 1001000,
+      "min": 0,
+      "max": 1000000
+    }
+  ],
+  "events": [
+    {
+      "at_virtual_us": 2250,
+      "name": "deploy.done",
+      "detail": "marketplaces=11"
+    },
+    {
+      "at_virtual_us": 7500,
+      "name": "campaign.iteration",
+      "detail": "iteration=0"
+    }
+  ],
+  "spans": [
+    {
+      "name": "deploy",
+      "path": "deploy",
+      "depth": 0,
+      "start_seq": 0,
+      "virtual_start_us": 1000,
+      "virtual_end_us": 2250
+    },
+    {
+      "name": "render",
+      "path": "deploy/render",
+      "depth": 1,
+      "start_seq": 1,
+      "virtual_start_us": 1500,
+      "virtual_end_us": 2250
+    }
+  ],
+  "next_seq": 2
+}"#;
+
+const TELEMETRY_MANIFEST_GOLDEN: &str = r#"{
+  "schema": "acctrade-telemetry/v1",
+  "run": "golden",
+  "seed": 7,
+  "config_digest": "f5e618190ce6f5e1",
+  "virtual_start_us": 1000,
+  "virtual_end_us": 7500,
+  "stages": [
+    {
+      "name": "deploy",
+      "path": "deploy",
+      "depth": 0,
+      "virtual_start_us": 1000,
+      "virtual_us": 1250
+    },
+    {
+      "name": "render",
+      "path": "deploy/render",
+      "depth": 1,
+      "virtual_start_us": 1500,
+      "virtual_us": 750
+    }
+  ],
+  "counters": [
+    {
+      "key": "api.calls{outcome=ok,platform=X}",
+      "value": 4
+    },
+    {
+      "key": "crawl.offers{marketplace=Accsmarket}",
+      "value": 9
+    },
+    {
+      "key": "crawl.pages{marketplace=Accsmarket}",
+      "value": 12
+    }
+  ],
+  "gauges": [
+    {
+      "key": "crawl.frontier_peak",
+      "value": 17.5
+    }
+  ],
+  "histograms": [
+    {
+      "key": "net.latency_us{host=x.com}",
+      "count": 4,
+      "sum": 1001000,
+      "min": 0,
+      "max": 1000000,
+      "p50": 511,
+      "p90": 1000000,
+      "p99": 1000000
+    }
+  ],
+  "crawl": [
+    {
+      "marketplace": "Accsmarket",
+      "pages": 12,
+      "offers": 9,
+      "fetch_errors": 0,
+      "gone_offers": 0
+    }
+  ],
+  "api": [
+    {
+      "platform": "X",
+      "outcome": "ok",
+      "calls": 4
+    }
+  ],
+  "events": [
+    {
+      "at_virtual_us": 2250,
+      "name": "deploy.done",
+      "detail": "marketplaces=11"
+    },
+    {
+      "at_virtual_us": 7500,
+      "name": "campaign.iteration",
+      "detail": "iteration=0"
+    }
+  ]
+}"#;
+
+/// The fixture's snapshot with one histogram bucket changed by `edit`.
+fn snapshot_with_bucket(edit: impl FnOnce(&mut HistogramSnap)) -> TelemetrySnapshot {
+    let (rec, _open) = telemetry_fixture();
+    let mut snap = rec.snapshot();
+    assert!(snap.validate().is_ok());
+    edit(&mut snap.histograms[0]);
+    snap
+}
+
+#[test]
+fn telemetry_snapshot_rejects_out_of_range_bucket() {
+    // Index 65 is past the last bucket; the restore would drop it and
+    // leave `count` above the bucket sum.
+    let snap = snapshot_with_bucket(|h| {
+        let mut extra = h.buckets[0].clone();
+        extra.idx = 65;
+        h.buckets.push(extra);
+        h.count += 1;
+    });
+    let err = snap.validate().expect_err("bucket index 65 is rejected");
+    assert!(err.contains("65"), "{err}");
+}
+
+#[test]
+fn telemetry_snapshot_rejects_repeated_bucket() {
+    // A repeated index would be restored as its last value only.
+    let snap = snapshot_with_bucket(|h| {
+        let again = h.buckets[1].clone();
+        h.count += again.n;
+        h.buckets.insert(2, again);
+    });
+    let err = snap.validate().expect_err("a repeated bucket index is rejected");
+    assert!(err.contains("bucket"), "{err}");
+}
+
+#[test]
+fn telemetry_snapshot_rejects_span_ordinal_at_or_past_next_seq() {
+    // The resumed recorder would hand ordinal `next_seq` out again.
+    let (rec, _open) = telemetry_fixture();
+    let mut snap = rec.snapshot();
+    assert!(snap.validate().is_ok());
+    snap.spans[1].start_seq = snap.next_seq;
+    let err = snap.validate().expect_err("a span ordinal at next_seq is rejected");
+    assert!(err.contains("start_seq"), "{err}");
 }
