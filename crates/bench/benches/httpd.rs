@@ -5,7 +5,7 @@
 //!
 //! Like every `foundation::bench` bench this runs in two modes: quick
 //! (what `cargo test` sees — a handful of requests, smoke only) and
-//! full (`cargo bench -- --bench` via the CI gate — enough volume for
+//! full (`cargo bench -- --bench` via `ci.sh` — enough volume for
 //! stable percentiles).
 
 use acctrade_httpd::{HostTable, HttpServer, RequestParser, ServerConfig, TimeSource};

@@ -1,5 +1,5 @@
 //! The conformance analyzer itself — scanner throughput and the cost of
-//! a full workspace pass (what gate 6 of `ci.sh` pays, twice).
+//! a full workspace pass (what the conformance tests pay per scan).
 
 use conformance::lexer::tokenize;
 use foundation::bench::{criterion_group, criterion_main, Criterion};

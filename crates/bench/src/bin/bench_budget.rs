@@ -1,4 +1,4 @@
-//! CI gate 11's perf-budget check: diff a `BENCH_report.json` against
+//! The perf-budget check: diff a `BENCH_report.json` against
 //! the committed `BENCH_budget.json` floors and ceilings.
 //!
 //! ```sh

@@ -31,8 +31,8 @@
 //! The dynamic complement lives in `foundation::sync`: a debug-build
 //! lock-order registry that panics on acquisition-order cycles (see
 //! DESIGN.md §2.3). Run the analyzer with
-//! `cargo run -p acctrade-conformance`; CI gates on a clean tree and on
-//! report determinism (two runs, `cmp`).
+//! `cargo run -p acctrade-conformance`; the tests below hold the tree to
+//! zero findings and two passes to byte-identical reports.
 
 #![warn(missing_docs)]
 

@@ -8,7 +8,7 @@
 //! assembly all firing on a tree that genuinely contains the defect.
 //! Each scenario here starts from a clean fixture, injects exactly one
 //! defect, and asserts exactly one finding of exactly the right rule —
-//! the must-fail proof CI's gate relies on, kept as a test.
+//! the must-fail proof that the lint gate has teeth.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -104,8 +104,8 @@ fn layering_violation_produces_exactly_one_arch_finding() {
 #[test]
 fn undeclared_manifest_edge_is_caught_against_the_baseline() {
     let root = fixture("baseline_edge");
-    // The CI gate's sed injection, as a test: a manifest edge appears
-    // without the committed baseline being regenerated.
+    // A manifest edge appears without the committed baseline being
+    // regenerated.
     append(&root, "crates/alpha/Cargo.toml", "\n[dependencies]\nbeta = { path = \"../beta\" }\n");
     let report = run(&root);
     // One baseline-diff finding for the new edge, plus the cycle the
@@ -134,6 +134,28 @@ fn unannotated_unsafe_produces_exactly_one_finding() {
     // describes reality, the finding demands the justification.
     assert_eq!(report.unsafe_inventory.len(), 1);
     assert_eq!(report.unsafe_inventory[0].kind, "block");
+}
+
+/// The CLI's exit code is the gate: 0 on a clean tree, 1 once a
+/// violation is injected.
+#[test]
+fn cli_exits_nonzero_once_a_violation_is_injected() {
+    let root = fixture("cli");
+    let out = root.join("target").join("LINT_report.json");
+    let lint = || {
+        std::process::Command::new(env!("CARGO_BIN_EXE_acctrade-conformance"))
+            .arg("--root")
+            .arg(&root)
+            .arg("--quiet")
+            .arg("--out")
+            .arg(&out)
+            .status()
+            .expect("run the conformance CLI")
+            .code()
+    };
+    assert_eq!(lint(), Some(0), "clean fixture");
+    append(&root, "crates/alpha/src/lib.rs", "\nfn danger() {\n    unsafe { std::ptr::null::<u8>(); }\n}\n");
+    assert_eq!(lint(), Some(1), "unannotated unsafe");
 }
 
 #[test]

@@ -27,7 +27,6 @@ use acctrade_crawler::underground::UndergroundCollector;
 use ::economy::{EconomyConfig, EconomyEvent, EconomySim};
 use acctrade_net::client::Client;
 use acctrade_net::clock::DAY;
-use acctrade_net::transport::Transport;
 use acctrade_net::sim::SimNet;
 use acctrade_net::tor::TorDirectory;
 use acctrade_social::platform::Platform;
@@ -191,27 +190,20 @@ pub struct Study {
     /// digest a resume validates against — a campaign started at
     /// `--workers 1` may legitimately resume at `--workers 8`.
     pub workers: usize,
-    /// Pluggable request transport for the crawler and API clients
-    /// (default `None` = the native sim fabric). Like `workers`, not
-    /// part of [`StudyConfig`]: a loopback run is a different *wire*,
-    /// not a different study. The underground (Tor) collection always
-    /// runs on the fabric — the loopback server speaks clearnet HTTP
-    /// only.
-    pub transport: Option<Arc<dyn Transport>>,
     /// Optional live economy (default `None` = the static seed world).
-    /// Like `workers` and `transport`, deliberately not part of
-    /// [`StudyConfig`]: with no economy attached every artifact is
-    /// byte-identical to the pre-economy pipeline, so the config digest
-    /// a resume validates against must not change. The scenario *is*
-    /// recorded in the checkpoint (`economy_scenario`) so a resumed run
-    /// rebuilds the same economy.
+    /// Like `workers`, deliberately not part of [`StudyConfig`]: with no
+    /// economy attached every artifact is byte-identical to the
+    /// pre-economy pipeline, so the config digest a resume validates
+    /// against must not change. The scenario *is* recorded in the
+    /// checkpoint (`economy_scenario`) so a resumed run rebuilds the
+    /// same economy.
     pub economy: Option<EconomyConfig>,
 }
 
 impl Study {
     /// Create a study.
     pub fn new(config: StudyConfig) -> Study {
-        Study { config, workers: 1, transport: None, economy: None }
+        Study { config, workers: 1, economy: None }
     }
 
     /// Attach an economy scenario (builder style): escrow order flow,
@@ -232,28 +224,6 @@ impl Study {
     pub fn with_workers(mut self, workers: usize) -> Study {
         self.workers = workers.max(1);
         self
-    }
-
-    /// Route the crawler and profile-resolver clients through a
-    /// [`Transport`] (builder style) — e.g. `acctrade-httpd`'s loopback
-    /// TCP. The transport's mode name is recorded in telemetry as the
-    /// run's `transport_mode` event for provenance.
-    pub fn with_transport(mut self, transport: Arc<dyn Transport>) -> Study {
-        self.transport = Some(transport);
-        self
-    }
-
-    /// The installed transport's mode, or "sim".
-    pub fn transport_mode(&self) -> &'static str {
-        self.transport.as_deref().map(Transport::mode).unwrap_or("sim")
-    }
-
-    /// Apply the study's transport (if any) to a client.
-    fn outfit(&self, client: Client) -> Client {
-        match &self.transport {
-            Some(t) => client.with_transport(Arc::clone(t)),
-            None => client,
-        }
     }
 
     /// Run the full pipeline. This generates the world internally; use
@@ -524,7 +494,9 @@ impl Study {
             let _stage = telemetry::span("deploy");
             world.deploy(&net);
         }
-        rec.event("transport_mode", self.transport_mode());
+        // Provenance: a study always crawls the sim fabric; loopback
+        // crawls install a transport on their own `Client`.
+        rec.event("transport_mode", "sim");
         let t0 = net.clock().now_unix();
 
         // The economy primes right after deploy — bot sellers register
@@ -555,8 +527,8 @@ impl Study {
             if let Some(s) = store.as_deref_mut() {
                 self.run_campaign_segment(world, &net, &rec, &mut progress, s, sim.as_mut(), &ctx)?;
             } else {
-                let crawler_client = self
-                    .outfit(Client::new(&net, "acctrade-crawler/0.1").with_politeness(20.0, 8.0));
+                let crawler_client =
+                    Client::new(&net, "acctrade-crawler/0.1").with_politeness(20.0, 8.0);
                 let mut campaign = CrawlCampaign::new(&crawler_client);
                 campaign.days_between = ctx.days_between;
                 campaign.workers = self.workers;
@@ -600,8 +572,7 @@ impl Study {
         economy: Option<&mut EconomySim>,
         ctx: &PersistCtx,
     ) -> Result<(), StoreError> {
-        let crawler_client =
-            self.outfit(Client::new(net, "acctrade-crawler/0.1").with_politeness(20.0, 8.0));
+        let crawler_client = Client::new(net, "acctrade-crawler/0.1").with_politeness(20.0, 8.0);
         let mut campaign = CrawlCampaign::new(&crawler_client);
         campaign.days_between = ctx.days_between;
         campaign.workers = self.workers;
@@ -687,7 +658,7 @@ impl Study {
         } = outcome;
 
         // -- Module 2b: profile metadata + timelines for visible accounts.
-        let api_client = self.outfit(Client::new(net, "acctrade-pipeline/0.1"));
+        let api_client = Client::new(net, "acctrade-pipeline/0.1");
         let resolver = ProfileResolver::new(&api_client);
         {
             let _stage = telemetry::span("resolve_profiles");

@@ -50,9 +50,8 @@ pub fn merge_shards(shards: Vec<Vec<OfferRecord>>) -> Vec<OfferRecord> {
 /// and nothing else — differ from the same crawl run in sim mode. This
 /// zeroes the timestamp and re-sorts by the remaining stable key, so
 /// two crawls of the same seeded world are comparable field-for-field
-/// regardless of transport. The parity gate (`tests/` at the workspace
-/// root, CI gate 8) asserts `normalize_for_parity(sim) ==
-/// normalize_for_parity(loopback)`.
+/// regardless of transport. `tests/loopback_parity.rs` asserts
+/// `normalize_for_parity(sim) == normalize_for_parity(loopback)`.
 pub fn normalize_for_parity(mut records: Vec<OfferRecord>) -> Vec<OfferRecord> {
     for r in &mut records {
         r.collected_unix = 0;

@@ -2,8 +2,8 @@
 //!
 //! The worker threads run outside any telemetry recorder scope (the
 //! recorder is resolved per-thread), so the serve loop bumps plain
-//! atomics here and whoever owns the server — a test, the quickstart
-//! example, the CI gate — [`ServerStats::publish`]es a snapshot into
+//! atomics here and whoever owns the server — a test, an example, the
+//! end-to-end benchmark — [`ServerStats::publish`]es a snapshot into
 //! the recorder from the thread that installed it.
 
 // conformance: atomics(relaxed) — monotone counters aggregated off the hot path

@@ -136,12 +136,6 @@ impl Client {
         self
     }
 
-    /// The installed transport's mode name, or "sim" for the native
-    /// fabric path — recorded as provenance by studies.
-    pub fn transport_mode(&self) -> &'static str {
-        self.transport.as_deref().map(Transport::mode).unwrap_or("sim")
-    }
-
     /// Retry transient transport failures (connection resets, timeouts)
     /// up to `n` additional times, with a short virtual-time backoff.
     /// Robots refusals and HTTP error statuses are never retried.

@@ -95,5 +95,5 @@ pub use error::{NetError, NetResult};
 pub use http::{Method, Request, Response, Status};
 pub use server::{RequestCtx, Router, Service};
 pub use sim::SimNet;
-pub use transport::{SimTransport, Transport};
+pub use transport::Transport;
 pub use url::Url;

@@ -21,8 +21,6 @@
 use crate::error::NetResult;
 use crate::http::{Request, Response};
 use crate::robots::RobotsPolicy;
-use crate::sim::SimNet;
-use std::sync::Arc;
 
 /// A way to get a [`Request`] to a server and a [`Response`] back.
 ///
@@ -30,7 +28,7 @@ use std::sync::Arc;
 /// shares one transport across all worker threads
 /// ([`crate::client::Client::fork_for_shard`] clones the handle).
 pub trait Transport: Send + Sync {
-    /// Short mode name for provenance ("sim", "loopback").
+    /// Short mode name (e.g. "loopback").
     fn mode(&self) -> &'static str;
 
     /// Send one request and wait for the response. Transport-level
@@ -52,57 +50,5 @@ pub trait Transport: Send + Sync {
     /// clock" (the sim fabric); a real transport returns wall time.
     fn now_unix(&self) -> Option<i64> {
         None
-    }
-}
-
-/// The simulated fabric exposed through the [`Transport`] interface.
-///
-/// [`crate::client::Client`] does *not* need this to reach the fabric —
-/// with no transport installed it takes its native lane-aware path —
-/// but tests and generic study drivers that hold `Arc<dyn Transport>`
-/// uniformly can wrap a fabric in one of these.
-pub struct SimTransport {
-    net: Arc<SimNet>,
-    peer: String,
-}
-
-impl SimTransport {
-    /// Wrap a fabric; `peer` is the identity servers see.
-    pub fn new(net: &Arc<SimNet>, peer: &str) -> SimTransport {
-        SimTransport { net: Arc::clone(net), peer: peer.to_string() }
-    }
-}
-
-impl Transport for SimTransport {
-    fn mode(&self) -> &'static str {
-        "sim"
-    }
-
-    fn send(&self, req: &Request) -> NetResult<Response> {
-        self.net.dispatch(req, &self.peer, false, 0)
-    }
-
-    fn robots(&self, host: &str) -> Option<RobotsPolicy> {
-        self.net.robots_for(host)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::http::Status;
-    use crate::server::FixedStatus;
-    use crate::url::Url;
-
-    #[test]
-    fn sim_transport_routes_through_fabric() {
-        let net = SimNet::new(11);
-        net.register("t.com", FixedStatus(Status::Ok, "via transport"));
-        let t = SimTransport::new(&net, "peer-1");
-        assert_eq!(t.mode(), "sim");
-        let resp = t.send(&Request::get(Url::http("t.com", "/"))).unwrap();
-        assert_eq!(resp.text(), "via transport");
-        assert!(t.robots("t.com").is_some());
-        assert!(t.now_unix().is_none(), "sim stamps from the virtual clock");
     }
 }

@@ -1,10 +1,9 @@
-//! CI gate: parse and schema-check the workspace's JSON artifacts.
+//! Parse and schema-check the workspace's JSON artifacts.
 //!
 //! ```sh
 //! cargo run -p acctrade-telemetry --bin validate_manifest -- target/TELEMETRY_report.json
 //! cargo run -p acctrade-telemetry --bin validate_manifest -- target/BENCH_report.json
-//! cargo run -p acctrade-telemetry --bin validate_manifest -- target/gate-econ-a/ECONOMY_report.json
-//! cargo run -p acctrade-telemetry --bin validate_manifest -- target/gate-ops-a/TRACE_report.json
+//! cargo run -p acctrade-telemetry --bin validate_manifest -- target/ops/TRACE_report.json
 //! ```
 //!
 //! The artifact kind is inferred from the file name:
@@ -13,19 +12,13 @@
 //!   validation, plus a stability check: the deterministic view must
 //!   re-render byte-identically (sorted keys, canonical formatting);
 //! * `BENCH*` — every entry must carry the harness's stats keys (or the
-//!   known hand-merged shapes), all values numeric and ordered;
-//! * `ECONOMY*` — the E1–E3 analysis document's required keys;
+//!   known hand-merged shapes), all values numeric and ordered, in the
+//!   canonical pretty-rendered form;
 //! * `TRACE*` — Chrome `trace_event` schema via
-//!   [`telemetry::validate_trace`];
-//! * `LINT*` — the conformance analyzer's `acctrade-lint/v2` report:
-//!   schema tag, per-rule tallies, the unsafe inventory, and the
-//!   16-hex architecture digest, all in canonical sorted order;
-//! * `ARCH*` — the committed `acctrade-arch/v1` baseline: sorted
-//!   crates, string-only dependency edges.
+//!   [`telemetry::validate_trace`].
 //!
-//! All kinds additionally require the canonical pretty-rendered form:
-//! parsing and re-rendering must reproduce the input bytes, which is
-//! what lets CI `cmp` artifacts across runs instead of grepping them.
+//! The economy report and the conformance documents are `JsonCodec`
+//! types, checked by their round-trip tests.
 //!
 //! Exits 0 when valid; exits 1 (with a reason on stderr) otherwise.
 
@@ -51,14 +44,8 @@ fn check(path: &str) -> Result<String, String> {
     let file = path.rsplit('/').next().unwrap_or(path);
     if file.starts_with("BENCH") {
         check_bench(&text)
-    } else if file.starts_with("ECONOMY") {
-        check_economy(&text)
     } else if file.starts_with("TRACE") {
         telemetry::validate_trace(&text)
-    } else if file.starts_with("LINT") {
-        check_lint(&text)
-    } else if file.starts_with("ARCH") {
-        check_arch(&text)
     } else {
         check_telemetry(&text)
     }
@@ -68,8 +55,8 @@ fn check_telemetry(text: &str) -> Result<String, String> {
     let manifest = RunManifest::parse(text).map_err(|e| format!("bad JSON: {e}"))?;
     manifest.validate()?;
     // The deterministic view must be stable: normalize, re-render,
-    // re-normalize — same bytes. This is the property every CI `cmp`
-    // of TELEMETRY_deterministic.txt artifacts rests on.
+    // re-normalize — same bytes. This is the property every byte
+    // comparison of TELEMETRY_deterministic.txt artifacts rests on.
     let det = manifest.deterministic_string();
     let reparsed = Json::parse(&det).map_err(|e| format!("deterministic view unparsable: {e}"))?;
     if telemetry::normalize_for_determinism(&reparsed).render_pretty() != det {
@@ -137,173 +124,8 @@ fn check_bench(text: &str) -> Result<String, String> {
     Ok(format!("kind=bench entries={} timed={timed}", entries.len()))
 }
 
-/// Required top-level keys of `ECONOMY_report.json` (the E1–E3 tables
-/// plus the payment reconciliation verdict).
-const ECONOMY_KEYS: [&str; 9] = [
-    "scenario",
-    "events",
-    "stream_digest",
-    "funnel",
-    "funnel_all",
-    "prices",
-    "cadence",
-    "payment_mix",
-    "reconciliation_ok",
-];
-
-fn check_economy(text: &str) -> Result<String, String> {
-    let doc = Json::parse(text).map_err(|e| format!("bad JSON: {e}"))?;
-    check_stable_reencode(&doc, text)?;
-    for key in ECONOMY_KEYS {
-        if doc.get(key).is_none() {
-            return Err(format!("missing required key {key:?}"));
-        }
-    }
-    let scenario = doc.get("scenario").and_then(Json::as_str).unwrap_or_default();
-    if scenario.is_empty() {
-        return Err("empty scenario name".into());
-    }
-    let events = doc.get("events").and_then(Json::as_num).unwrap_or(-1.0);
-    if events < 0.0 {
-        return Err("events must be a non-negative number".into());
-    }
-    let funnel = doc.get("funnel").and_then(Json::as_arr).ok_or("funnel must be an array")?;
-    if doc.get("reconciliation_ok").and_then(Json::as_bool).is_none() {
-        return Err("reconciliation_ok must be a boolean".into());
-    }
-    Ok(format!(
-        "kind=economy scenario={scenario} events={events} funnel_rows={}",
-        funnel.len()
-    ))
-}
-
-/// Required top-level keys of `LINT_report.json` (schema
-/// `acctrade-lint/v2`).
-const LINT_KEYS: [&str; 8] = [
-    "schema",
-    "files_scanned",
-    "manifests_scanned",
-    "suppressed",
-    "arch_digest",
-    "rule_counts",
-    "unsafe_inventory",
-    "findings",
-];
-
-fn check_lint(text: &str) -> Result<String, String> {
-    let doc = Json::parse(text).map_err(|e| format!("bad JSON: {e}"))?;
-    check_stable_reencode(&doc, text)?;
-    for key in LINT_KEYS {
-        if doc.get(key).is_none() {
-            return Err(format!("missing required key {key:?}"));
-        }
-    }
-    let schema = doc.get("schema").and_then(Json::as_str).unwrap_or_default();
-    if schema != "acctrade-lint/v2" {
-        return Err(format!("unexpected schema {schema:?} (want \"acctrade-lint/v2\")"));
-    }
-    for key in ["files_scanned", "manifests_scanned", "suppressed"] {
-        let v = doc.get(key).and_then(Json::as_num).unwrap_or(-1.0);
-        if v < 0.0 {
-            return Err(format!("{key} must be a non-negative number"));
-        }
-    }
-    let digest = doc.get("arch_digest").and_then(Json::as_str).unwrap_or_default();
-    if digest.len() != 16 || !digest.chars().all(|c| c.is_ascii_hexdigit()) {
-        return Err(format!("arch_digest {digest:?} is not 16 hex digits"));
-    }
-    let counts =
-        doc.get("rule_counts").and_then(Json::as_arr).ok_or("rule_counts must be an array")?;
-    let mut prev_rule = String::new();
-    for entry in counts {
-        let rule = entry
-            .get("rule")
-            .and_then(Json::as_str)
-            .ok_or("rule_counts entry missing string \"rule\"")?;
-        if rule <= prev_rule.as_str() && !prev_rule.is_empty() {
-            return Err(format!("rule_counts not sorted at {rule:?}"));
-        }
-        prev_rule = rule.to_string();
-        for key in ["findings", "suppressed"] {
-            if entry.get(key).and_then(Json::as_num).unwrap_or(-1.0) < 0.0 {
-                return Err(format!("rule_counts entry {rule:?}: bad {key:?}"));
-            }
-        }
-    }
-    let inventory = doc
-        .get("unsafe_inventory")
-        .and_then(Json::as_arr)
-        .ok_or("unsafe_inventory must be an array")?;
-    for site in inventory {
-        for key in ["file", "kind"] {
-            if site.get(key).and_then(Json::as_str).is_none() {
-                return Err(format!("unsafe_inventory entry missing string {key:?}"));
-            }
-        }
-        if site.get("line").and_then(Json::as_num).unwrap_or(-1.0) < 1.0 {
-            return Err("unsafe_inventory entry with line < 1".into());
-        }
-    }
-    let findings =
-        doc.get("findings").and_then(Json::as_arr).ok_or("findings must be an array")?;
-    for finding in findings {
-        for key in ["rule", "file", "message"] {
-            if finding.get(key).and_then(Json::as_str).is_none() {
-                return Err(format!("finding missing string {key:?}"));
-            }
-        }
-    }
-    Ok(format!(
-        "kind=lint files={} manifests={} findings={} suppressed={} unsafe={} arch={digest}",
-        doc.get("files_scanned").and_then(Json::as_num).unwrap_or(0.0),
-        doc.get("manifests_scanned").and_then(Json::as_num).unwrap_or(0.0),
-        findings.len(),
-        doc.get("suppressed").and_then(Json::as_num).unwrap_or(0.0),
-        inventory.len(),
-    ))
-}
-
-fn check_arch(text: &str) -> Result<String, String> {
-    let doc = Json::parse(text).map_err(|e| format!("bad JSON: {e}"))?;
-    check_stable_reencode(&doc, text)?;
-    let schema = doc.get("schema").and_then(Json::as_str).unwrap_or_default();
-    if schema != "acctrade-arch/v1" {
-        return Err(format!("unexpected schema {schema:?} (want \"acctrade-arch/v1\")"));
-    }
-    let crates = doc.get("crates").and_then(Json::as_arr).ok_or("crates must be an array")?;
-    if crates.is_empty() {
-        return Err("no crates in the baseline".into());
-    }
-    let mut prev_pkg = String::new();
-    let mut edges = 0usize;
-    for entry in crates {
-        let package = entry
-            .get("package")
-            .and_then(Json::as_str)
-            .ok_or("crate entry missing string \"package\"")?;
-        if package <= prev_pkg.as_str() && !prev_pkg.is_empty() {
-            return Err(format!("crates not sorted at {package:?}"));
-        }
-        prev_pkg = package.to_string();
-        if entry.get("lib_name").and_then(Json::as_str).is_none() {
-            return Err(format!("crate {package:?} missing string \"lib_name\""));
-        }
-        for key in ["deps", "dev_deps"] {
-            let deps = entry
-                .get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("crate {package:?}: {key} must be an array"))?;
-            edges += deps.len();
-            if deps.iter().any(|d| d.as_str().is_none()) {
-                return Err(format!("crate {package:?}: non-string edge in {key}"));
-            }
-        }
-    }
-    Ok(format!("kind=arch crates={} edges={edges}", crates.len()))
-}
-
 /// Parse → re-render must reproduce the input: artifacts are written in
-/// canonical pretty form so CI can byte-compare them across runs.
+/// canonical pretty form so runs can be byte-compared.
 fn check_stable_reencode(doc: &Json, text: &str) -> Result<(), String> {
     let rendered = doc.render_pretty();
     if rendered != text && rendered + "\n" != text {

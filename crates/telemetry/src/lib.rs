@@ -16,9 +16,9 @@
 //!   spans that record **both** wall time and the simulation's virtual
 //!   time, the last 1024 virtual-time-stamped events, and the optional
 //!   trace sink both are mirrored into;
-//! * [`recorder`] — the pluggable [`Recorder`] handle: a global default,
-//!   thread-scoped overrides for tests and concurrent studies, and a
-//!   no-op-cheap disabled fallback;
+//! * [`recorder`] — the pluggable [`Recorder`] handle: thread-scoped
+//!   recorders for studies and tests (so concurrent runs never share
+//!   state), and a no-op-cheap disabled fallback;
 //! * [`manifest`] — the [`RunManifest`] exporter behind
 //!   `TELEMETRY_report.json`: seed, config digest, per-stage timings,
 //!   per-marketplace crawl stats, per-platform API outcome tallies;
@@ -67,12 +67,11 @@ pub mod snapshot;
 pub mod trace;
 
 pub use manifest::{digest64, normalize_for_determinism, RunManifest, REPORT_FILE};
-pub use prom::{counter_sample_key, parse_exposition, parse_rendered_key, render_prometheus};
+pub use prom::{reconcile_metrics, render_prometheus};
 pub use snapshot::TelemetrySnapshot;
 pub use metrics::{Histogram, Key, Registry};
 pub use recorder::{
-    clear_global, event, install_global, recorder, span, with_recorder, Recorder, RecorderScope,
-    Span, VirtualClock,
+    event, recorder, span, with_recorder, Recorder, RecorderScope, Span, VirtualClock,
 };
 pub use trace::{
     validate_trace, virtual_trace, SlowEntry, TraceCat, TraceRecord, Tracer, TRACE_FILE,

@@ -4,8 +4,8 @@
 //! recorders into the Prometheus text format (`# TYPE` headers, sorted
 //! sample lines, a `source` label distinguishing the campaign registry
 //! from the server-side one). Rendering the same registry state twice
-//! yields byte-identical text — the exposition golden test and the
-//! campaign/manifest reconciliation gate both rest on that.
+//! yields byte-identical text — the exposition golden test and
+//! [`reconcile_metrics`] both rest on that.
 //!
 //! Histograms are exported summary-style: `_count`/`_sum`/`_min`/`_max`
 //! plus `quantile`-labelled sample lines at the registry's log-bucket
@@ -13,6 +13,7 @@
 //!
 //! [`Registry`]: crate::metrics::Registry
 
+use crate::manifest::RunManifest;
 use crate::metrics::Key;
 use crate::recorder::Recorder;
 use std::collections::BTreeMap;
@@ -148,7 +149,7 @@ pub fn render_prometheus(sources: &[(&str, &Recorder)]) -> String {
 /// reconciliation side of the `/metrics` contract. Keys are the full
 /// `name{labels}` prefix exactly as rendered; `# `-comment lines are
 /// skipped.
-pub fn parse_exposition(text: &str) -> BTreeMap<String, f64> {
+fn parse_exposition(text: &str) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
     for line in text.lines() {
         let line = line.trim();
@@ -166,9 +167,30 @@ pub fn parse_exposition(text: &str) -> BTreeMap<String, f64> {
     out
 }
 
+/// Reconcile a scraped `/metrics` exposition against a run's manifest:
+/// every manifest counter must appear under `source="campaign"` with
+/// exactly the manifest's value — except `store.*` counters, which may
+/// run ahead (a persisted run exports its manifest before its final
+/// sync and checkpoint write). Returns one line per mismatch; empty
+/// means reconciled.
+pub fn reconcile_metrics(scraped: &str, manifest: &RunManifest) -> Vec<String> {
+    let parsed = parse_exposition(scraped);
+    let mut mismatches = Vec::new();
+    for entry in &manifest.counters {
+        let key = parse_rendered_key(&entry.key);
+        let want = entry.value as f64;
+        match parsed.get(&counter_sample_key(&key, "campaign")) {
+            None => mismatches.push(format!("{}: missing from /metrics scrape", entry.key)),
+            Some(&v) if v == want || (key.name.starts_with("store.") && v > want) => {}
+            Some(&v) => mismatches.push(format!("{}: scraped {v}, manifest {want}", entry.key)),
+        }
+    }
+    mismatches
+}
+
 /// The sample-line prefix [`render_prometheus`] emits for one counter
 /// key under `source` — the join key for manifest reconciliation.
-pub fn counter_sample_key(key: &Key, source: &str) -> String {
+fn counter_sample_key(key: &Key, source: &str) -> String {
     let name = sanitize_name(&key.name);
     let labels = render_labels(key, &[("source", source)]);
     format!("{name}{labels}")
@@ -179,7 +201,7 @@ pub fn counter_sample_key(key: &Key, source: &str) -> String {
 /// scraped exposition can be joined against `TELEMETRY_report.json`
 /// counter entries. Label values in this workspace never contain `,`,
 /// `=`, or `}` — the renderer's grammar is unambiguous for them.
-pub fn parse_rendered_key(rendered: &str) -> Key {
+fn parse_rendered_key(rendered: &str) -> Key {
     let Some((name, rest)) = rendered.split_once('{') else {
         return Key { name: rendered.to_string(), labels: Vec::new() };
     };
@@ -272,6 +294,26 @@ mod tests {
         ] {
             assert_eq!(parse_rendered_key(&key.render()), key);
         }
+    }
+
+    #[test]
+    fn reconciliation_lets_only_store_counters_run_ahead() {
+        let rec = Recorder::new();
+        rec.incr("net.requests", &[("host", "x.com")], 3);
+        rec.incr("store.records", &[], 5);
+        let manifest = rec.manifest("t", 1, "d");
+        let scrape = |requests: u64, records: u64| {
+            let live = Recorder::new();
+            live.incr("net.requests", &[("host", "x.com")], requests);
+            live.incr("store.records", &[], records);
+            render_prometheus(&[("campaign", &live)])
+        };
+        assert!(reconcile_metrics(&scrape(3, 5), &manifest).is_empty());
+        assert!(reconcile_metrics(&scrape(3, 9), &manifest).is_empty(), "store.* may run ahead");
+        assert_eq!(reconcile_metrics(&scrape(4, 5), &manifest).len(), 1);
+        assert_eq!(reconcile_metrics(&scrape(3, 4), &manifest).len(), 1, "but never behind");
+        let server_only = render_prometheus(&[("server", &rec)]);
+        assert_eq!(reconcile_metrics(&server_only, &manifest).len(), 2, "missing samples");
     }
 
     #[test]

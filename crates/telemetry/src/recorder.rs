@@ -1,4 +1,4 @@
-//! The [`Recorder`] handle and the global/scoped recorder plumbing.
+//! The [`Recorder`] handle and the scoped recorder plumbing.
 //!
 //! Instrumentation call sites throughout the workspace go through
 //! [`with_recorder`], which resolves, in order:
@@ -6,16 +6,12 @@
 //! 1. the innermost **scoped** recorder on the current thread (tests and
 //!    `Study::run` install one with [`Recorder::enter`], so concurrent
 //!    runs never share state);
-//! 2. the **global** recorder, if one was installed with
-//!    [`install_global`];
-//! 3. a process-wide **disabled** recorder whose write methods return
+//! 2. a process-wide **disabled** recorder whose write methods return
 //!    immediately.
 //!
 //! The disabled path is the default for library users who never opt in:
-//! one thread-local read plus one relaxed atomic load, no locks, no
-//! allocation — cheap enough to leave instrumentation in every hot path.
-
-// conformance: atomics(acquire, release) — epoch swaps publish with release and load with acquire
+//! one thread-local read, no locks, no allocation — cheap enough to
+//! leave instrumentation in every hot path.
 
 use crate::journal::{Event, FinishedSpan, Journal};
 use crate::metrics::{Histogram, Key, Registry};
@@ -23,7 +19,6 @@ use crate::trace::Tracer;
 use foundation::sync::Mutex;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -291,45 +286,19 @@ thread_local! {
     static CURRENT: RefCell<Vec<Recorder>> = const { RefCell::new(Vec::new()) };
 }
 
-static GLOBAL_SET: AtomicBool = AtomicBool::new(false);
-
-fn global_slot() -> &'static Mutex<Option<Recorder>> {
-    static GLOBAL: OnceLock<Mutex<Option<Recorder>>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(None))
-}
-
-/// Install a process-global recorder (used by long-running binaries; tests
-/// prefer [`Recorder::enter`] scopes).
-pub fn install_global(rec: Recorder) {
-    *global_slot().lock() = Some(rec);
-    GLOBAL_SET.store(true, Ordering::Release);
-}
-
-/// Remove the global recorder.
-pub fn clear_global() {
-    GLOBAL_SET.store(false, Ordering::Release);
-    *global_slot().lock() = None;
-}
-
-/// Run `f` against the current recorder (scoped → global → disabled).
+/// Run `f` against the current recorder (scoped → disabled).
 ///
 /// This is the instrumentation entry point: when no recorder is active it
-/// costs a thread-local read plus one atomic load and `f` sees the
-/// disabled recorder, whose writes return immediately.
+/// costs a thread-local read and `f` sees the disabled recorder, whose
+/// writes return immediately.
 pub fn with_recorder<T>(f: impl FnOnce(&Recorder) -> T) -> T {
-    let scoped = CURRENT.with(|c| c.borrow().last().cloned());
-    if let Some(rec) = scoped {
-        return f(&rec);
+    match CURRENT.with(|c| c.borrow().last().cloned()) {
+        Some(rec) => f(&rec),
+        None => f(&Recorder::disabled()),
     }
-    if GLOBAL_SET.load(Ordering::Acquire) {
-        if let Some(rec) = global_slot().lock().clone() {
-            return f(&rec);
-        }
-    }
-    f(&Recorder::disabled())
 }
 
-/// Clone the current recorder handle (scoped → global → disabled).
+/// Clone the current recorder handle (scoped → disabled).
 pub fn recorder() -> Recorder {
     with_recorder(Clone::clone)
 }
@@ -421,16 +390,5 @@ mod tests {
         rec.event("tick", "x");
         assert_eq!(rec.events()[0].at_virtual_us, 777);
         assert_eq!(rec.virtual_now(), 777);
-    }
-
-    #[test]
-    fn global_install_and_clear() {
-        // Keep this test self-contained: install, observe, clear.
-        let rec = Recorder::new();
-        install_global(rec.clone());
-        with_recorder(|r| r.incr("global.hits", &[], 3));
-        clear_global();
-        with_recorder(|r| assert!(!r.is_enabled()));
-        assert_eq!(rec.counter_total("global.hits"), 3);
     }
 }

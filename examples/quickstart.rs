@@ -6,33 +6,27 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! With `--transport loopback` the same crawl runs twice — once on the
-//! simulated fabric and once over real loopback TCP against an
-//! `acctrade-httpd` server mounting the same seeded sites — and the
-//! normalized offer sets are compared (the CI transport-parity gate
-//! asserts on the resulting `target/PARITY_loopback.json`). With
-//! `--serve <addr>` the example just binds the server and serves the
-//! seeded world until killed:
+//! With `--serve <addr>` the example just binds an `acctrade-httpd`
+//! server mounting the seeded sites and serves them until killed:
 //!
 //! ```sh
-//! cargo run --release --example quickstart -- --transport loopback
 //! cargo run --release --example quickstart -- --serve 127.0.0.1:8080
 //! ```
 //!
 //! With `--campaign` the example instead runs a small *persisted* study
-//! against a durable `acctrade-store` campaign store — the CI
-//! crash-recovery gate drives it through a kill-and-resume cycle:
+//! against a durable `acctrade-store` campaign store, which survives a
+//! kill-and-resume cycle:
 //!
 //! ```sh
 //! # clean persisted run
 //! cargo run --release --example quickstart -- --campaign \
-//!     --store-dir target/store/clean --out target/gate-clean
+//!     --store-dir target/store/clean --out target/campaign-clean
 //! # crash after 2 iterations (exits with code 3) …
 //! cargo run --release --example quickstart -- --campaign \
 //!     --store-dir target/store/crash --kill-at 2
 //! # … resume, byte-identical to the clean run
 //! cargo run --release --example quickstart -- --campaign \
-//!     --store-dir target/store/crash --resume --out target/gate-crash
+//!     --store-dir target/store/crash --resume --out target/campaign-crash
 //! ```
 //!
 //! `--scenario <name>` attaches the live economy to a campaign run
@@ -46,7 +40,7 @@
 //!
 //! ```sh
 //! cargo run --release --example quickstart -- --campaign \
-//!     --scenario all --store-dir target/store/econ --out target/gate-econ
+//!     --scenario all --store-dir target/store/econ --out target/econ
 //! ```
 //!
 //! `--ops <addr>` mounts the live ops plane on a campaign run: an
@@ -63,24 +57,25 @@
 //!
 //! ```sh
 //! cargo run --release --example quickstart -- --campaign \
-//!     --ops 127.0.0.1:0 --trace-out target/gate-ops/TRACE_report.json \
-//!     --store-dir target/store/ops --out target/gate-ops
+//!     --ops 127.0.0.1:0 --trace-out target/ops/TRACE_report.json \
+//!     --store-dir target/store/ops --out target/ops
 //! # while it runs (or against --serve, which also mounts the plane):
 //! curl -H 'host: ops.acctrade.local' http://127.0.0.1:<port>/metrics
 //! ```
 //!
-//! Exit codes: `0` success; `2` bad CLI usage (unknown transport or
-//! scenario, or a resume whose store ran a different scenario); `3` an
-//! injected `--kill-at` crash fired (the store is left resumable); `4`
-//! transport parity failure; `5` economy payment reconciliation failure
-//! (a settled order used a method its marketplace does not list); `6`
-//! ops reconciliation failure (the final `/metrics` scrape disagrees
-//! with `TELEMETRY_report.json`).
+//! Exit codes: `0` success; `2` bad CLI usage (unknown scenario, or a
+//! resume whose store ran a different scenario); `3` an injected
+//! `--kill-at` crash fired (the store is left resumable); `5` economy
+//! payment reconciliation failure (a settled order used a method its
+//! marketplace does not list); `6` ops reconciliation failure (the final
+//! `/metrics` scrape disagrees with `TELEMETRY_report.json`).
+//!
+//! `cargo test` runs this file's own tests, which call [`run`] in-process
+//! and check these exit codes and the artifacts behind them.
 
 // conformance: atomics(relaxed) — demo counter, no cross-thread protocol
 
 use acctrade::core::{Study, StudyConfig};
-use acctrade::crawler::merge::normalize_for_parity;
 use acctrade::crawler::{MarketplaceCrawler, ProfileResolver};
 use acctrade::httpd::{
     HostTable, HttpServer, LoopbackTransport, OpsPlane, ServerConfig, TimeSource, OPS_HOST,
@@ -187,70 +182,44 @@ impl OpsCampaign {
             "campaign: ops plane scraped {mid_scrapes} times mid-run; final scrape in {}",
             out_dir.display()
         );
-        reconcile_metrics(&metrics, manifest)
+        acctrade::telemetry::reconcile_metrics(&metrics, manifest)
     }
 }
 
-/// Compare the scraped `source="campaign"` counters against the
-/// manifest's counter table. Every manifest counter must appear; values
-/// must match exactly, except `store.*` counters where the scrape may
-/// run ahead (the manifest is exported before the store's final
-/// checkpoint write lands its last append/sync counts).
-fn reconcile_metrics(
-    scraped: &str,
-    manifest: &acctrade::telemetry::RunManifest,
-) -> Vec<String> {
-    let parsed = acctrade::telemetry::parse_exposition(scraped);
-    let mut mismatches = Vec::new();
-    for entry in &manifest.counters {
-        let key = acctrade::telemetry::parse_rendered_key(&entry.key);
-        let sample = acctrade::telemetry::counter_sample_key(&key, "campaign");
-        match parsed.get(&sample) {
-            None => mismatches.push(format!("{}: missing from /metrics scrape", entry.key)),
-            Some(&v) => {
-                let want = entry.value as f64;
-                let ok = if key.name.starts_with("store.") { v >= want } else { v == want };
-                if !ok {
-                    mismatches
-                        .push(format!("{}: scraped {v}, manifest {want}", entry.key));
-                }
-            }
-        }
-    }
-    mismatches
-}
-
-/// The fixed configuration the CI gate compares across clean and
-/// crashed-then-resumed runs.
+/// The fixed configuration every campaign run shares, so clean and
+/// crashed-then-resumed runs are comparable byte for byte.
 fn campaign_config() -> StudyConfig {
     StudyConfig { seed: 2024, scale: 0.01, iterations: 4, scam: Default::default() }
 }
 
 /// `--campaign`: a persisted (and optionally crashed / resumed) study.
-fn campaign_mode(args: &[String]) {
+/// Returns the process exit code.
+fn campaign_mode(args: &[String]) -> i32 {
     let store_dir = arg_value(args, "--store-dir")
         .map(PathBuf::from)
         .unwrap_or_else(|| acctrade::output::store_dir("quickstart"));
     let out_dir = arg_value(args, "--out").map(PathBuf::from).unwrap_or_else(acctrade::output::dir);
     let config = campaign_config();
     // Crawl-engine worker threads. Any value yields byte-identical
-    // artifacts (the CI parallel-determinism gate compares --workers 1
-    // against --workers 4); it only changes wall-clock time.
+    // artifacts; it only changes wall-clock time.
     let workers: usize = arg_value(args, "--workers")
         .map(|w| w.parse().expect("--workers takes a thread count"))
         .unwrap_or(1);
     // The optional live economy: orders, repricing, and bot inventory
     // running between crawl passes.
     let scenario = arg_value(args, "--scenario");
-    let economy = scenario.map(|name| {
-        acctrade::economy::EconomyConfig::scenario(name).unwrap_or_else(|| {
+    let economy =
+        scenario.map(|name| acctrade::economy::EconomyConfig::scenario(name).ok_or(name));
+    let economy = match economy.transpose() {
+        Ok(economy) => economy,
+        Err(name) => {
             eprintln!(
                 "unknown --scenario {name:?} (expected one of {:?})",
                 acctrade::economy::SCENARIO_NAMES
             );
-            std::process::exit(2);
-        })
-    });
+            return 2;
+        }
+    };
     let build_study = || {
         let mut study = Study::new(config).with_workers(workers);
         if let Some(cfg) = economy.clone() {
@@ -278,11 +247,10 @@ fn campaign_mode(args: &[String]) {
                 "campaign: killed after {k} iterations; interrupted store left at {}",
                 store_dir.display()
             );
-            // A distinctive exit code the CI gate asserts on.
-            std::process::exit(3);
+            return 3;
         }
         eprintln!("campaign: kill point {k} was never reached; study completed");
-        return;
+        return 0;
     }
 
     let report = if args.iter().any(|a| a == "--resume") {
@@ -300,7 +268,7 @@ fn campaign_mode(args: &[String]) {
                     "campaign: store ran scenario {resumed:?}, but --scenario {requested:?} \
                      was requested"
                 );
-                std::process::exit(2);
+                return 2;
             }
         }
         report
@@ -351,7 +319,7 @@ fn campaign_mode(args: &[String]) {
             for line in &mismatches {
                 eprintln!("  {line}");
             }
-            std::process::exit(6);
+            return 6;
         }
         eprintln!(
             "campaign: ops reconciliation OK — {} manifest counters match the final scrape",
@@ -385,104 +353,16 @@ fn campaign_mode(args: &[String]) {
                 "campaign: payment reconciliation FAILED — a settled order used a method \
                  its marketplace does not list"
             );
-            std::process::exit(5);
+            return 5;
         }
         eprintln!("campaign: payment reconciliation OK");
     }
-}
-
-/// One crawl of the quickstart marketplace over the given transport
-/// (`None` = the native sim fabric), returning the parity-normalized
-/// offer records.
-fn crawl_once(
-    transport: Option<Arc<dyn Transport>>,
-) -> Vec<acctrade::crawler::OfferRecord> {
-    let world = World::generate(WorldParams { seed: 2024, scale: 0.05 });
-    let net = SimNet::new(2024);
-    world.deploy(&net);
-    let client = Client::new(&net, "acctrade-crawler/0.1").with_politeness(20.0, 8.0);
-    let client = match transport {
-        Some(t) => client.with_transport(t),
-        None => client,
-    };
-    let mut crawler = MarketplaceCrawler::new(&client, MarketplaceId::Accsmarket);
-    let (offers, _stats) = crawler.crawl(0);
-    normalize_for_parity(offers)
-}
-
-/// `--transport loopback`: crawl the same seeded marketplace on the sim
-/// fabric and over real loopback TCP, compare the normalized offer
-/// sets, and write `target/PARITY_loopback.json`.
-fn loopback_mode() {
-    let rec = acctrade::telemetry::Recorder::new();
-    let _scope = rec.enter();
-
-    eprintln!("transport parity: sim-mode crawl ...");
-    let sim = crawl_once(None);
-
-    eprintln!("transport parity: loopback crawl against a real server ...");
-    // A separate world/fabric with the same seed, mounted on real
-    // sockets; the server shares the study's virtual clock.
-    let world = World::generate(WorldParams { seed: 2024, scale: 0.05 });
-    let net = SimNet::new(2024);
-    world.deploy(&net);
-    let server = HttpServer::bind(
-        "127.0.0.1:0",
-        HostTable::from_sim(&net),
-        ServerConfig {
-            workers: 4,
-            time: TimeSource::Virtual(net.clock().clone()),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind loopback server");
-    let transport: Arc<dyn Transport> = Arc::new(LoopbackTransport::new(server.addr()));
-    let loopback = {
-        let client = Client::new(&net, "acctrade-crawler/0.1")
-            .with_politeness(20.0, 8.0)
-            .with_transport(Arc::clone(&transport));
-        let mut crawler = MarketplaceCrawler::new(&client, MarketplaceId::Accsmarket);
-        let (offers, _stats) = crawler.crawl(0);
-        normalize_for_parity(offers)
-    };
-
-    let stats = server.stats();
-    server.shutdown();
-    stats.publish();
-    let snap = stats.snapshot();
-
-    let parity = sim == loopback;
-    let json = format!(
-        "{{\n  \"parity\": {parity},\n  \"sim_offers\": {},\n  \"loopback_offers\": {},\n  \"server_requests\": {},\n  \"server_conns_accepted\": {},\n  \"server_keepalive_reuse\": {},\n  \"server_parse_rejects\": {}\n}}\n",
-        sim.len(),
-        loopback.len(),
-        snap.requests,
-        snap.accepted,
-        snap.keepalive_reuse,
-        snap.parse_rejects,
-    );
-    let path = acctrade::output::artifact("PARITY_loopback.json");
-    std::fs::write(&path, &json).expect("write parity artifact");
-    eprintln!(
-        "transport parity: sim={} loopback={} offers; {} requests over {} connections \
-         ({} keep-alive reuses); artifact at {}",
-        sim.len(),
-        loopback.len(),
-        snap.requests,
-        snap.accepted,
-        snap.keepalive_reuse,
-        path.display()
-    );
-    if !parity {
-        eprintln!("transport parity: FAILED — offer sets diverge");
-        std::process::exit(4);
-    }
-    eprintln!("transport parity: offer sets identical");
+    0
 }
 
 /// `--serve <addr>`: mount the seeded world on a real server and serve
 /// until killed (wall-clock request contexts — demo mode, not parity).
-fn serve_mode(addr: &str) {
+fn serve_mode(addr: &str) -> ! {
     let world = World::generate(WorldParams { seed: 2024, scale: 0.05 });
     let net = SimNet::new(2024);
     world.deploy(&net);
@@ -511,28 +391,16 @@ fn serve_mode(addr: &str) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Run the quickstart CLI on `args` (without the program name) and
+/// return the process exit code.
+fn run(args: &[String]) -> i32 {
     // `--scenario` implies a campaign: the economy only runs between
     // the passes of a full crawl campaign.
-    if args.iter().any(|a| a == "--campaign") || arg_value(&args, "--scenario").is_some() {
-        campaign_mode(&args);
-        return;
+    if args.iter().any(|a| a == "--campaign") || arg_value(args, "--scenario").is_some() {
+        return campaign_mode(args);
     }
-    if let Some(addr) = arg_value(&args, "--serve") {
+    if let Some(addr) = arg_value(args, "--serve") {
         serve_mode(addr);
-        return;
-    }
-    match arg_value(&args, "--transport") {
-        None | Some("sim") => {} // the default path below
-        Some("loopback") => {
-            loopback_mode();
-            return;
-        }
-        Some(other) => {
-            eprintln!("unknown --transport {other:?} (expected sim|loopback)");
-            std::process::exit(2);
-        }
     }
     // Scope a telemetry recorder around the whole run: every instrumented
     // crate below records into it, and we export the manifest at the end.
@@ -598,11 +466,109 @@ fn main() {
         net.request_count()
     );
 
-    // Export the provenance manifest (what the CI gate validates).
+    // Export the provenance manifest.
     drop(_stage);
     let manifest = rec.manifest("quickstart", 2024, &acctrade::telemetry::digest64("quickstart"));
     manifest.validate().expect("quickstart manifest must validate");
     let path = acctrade::output::artifact(acctrade::telemetry::REPORT_FILE);
     std::fs::write(&path, manifest.to_json_pretty()).expect("write manifest");
     println!("telemetry manifest written to {}", path.display());
+    0
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    std::process::exit(run(&args));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run;
+    use acctrade::telemetry::{self, RunManifest};
+    use std::path::{Path, PathBuf};
+    use std::sync::OnceLock;
+
+    /// A fresh scratch directory, as the string the CLI takes.
+    fn scratch(tag: &str) -> String {
+        let dir = std::env::temp_dir()
+            .join(format!("acctrade-quickstart-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir.display().to_string()
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    fn read(dir: &Path, name: &str) -> String {
+        let path = dir.join(name);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+    }
+
+    /// The clean `--ops` campaign: its exit code and `--out` directory.
+    /// Run once and shared, because the kill/resume test must reproduce
+    /// its artifacts byte for byte.
+    fn clean_ops_run() -> &'static (i32, PathBuf) {
+        static RUN: OnceLock<(i32, PathBuf)> = OnceLock::new();
+        RUN.get_or_init(|| {
+            let dir = scratch("ops");
+            let (store, out) = (format!("{dir}/store"), format!("{dir}/out"));
+            let trace = format!("{out}/TRACE_report.json");
+            let code = run(&argv(&[
+                "--campaign", "--ops", "127.0.0.1:0", "--trace-out", &trace,
+                "--store-dir", &store, "--out", &out,
+            ]));
+            (code, PathBuf::from(out))
+        })
+    }
+
+    #[test]
+    fn default_run_exports_a_valid_manifest() {
+        let path = acctrade::output::artifact(telemetry::REPORT_FILE);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(run(&[]), 0);
+        let text = std::fs::read_to_string(&path).expect("manifest written");
+        let manifest = RunManifest::parse(&text).expect("manifest parses");
+        manifest.validate().expect("manifest validates");
+    }
+
+    #[test]
+    fn ops_campaign_reconciles_and_writes_its_artifacts() {
+        let (code, out) = clean_ops_run();
+        assert_eq!(*code, 0, "the final /metrics scrape must reconcile with the manifest");
+        let metrics = read(out, "OPS_metrics.prom");
+        assert!(metrics.contains("source=\"campaign\""), "campaign samples scraped");
+        assert!(metrics.contains("source=\"server\""), "server samples scraped");
+        for name in ["OPS_statz.json", "OPS_tracez.json"] {
+            assert!(!read(out, name).is_empty(), "{name} is empty");
+        }
+        for name in ["TRACE_wall.json", "TRACE_report.json"] {
+            telemetry::validate_trace(&read(out, name))
+                .unwrap_or_else(|e| panic!("{name} is not a valid trace: {e}"));
+        }
+    }
+
+    #[test]
+    fn killed_campaign_resumes_byte_identical_to_the_clean_run() {
+        let dir = scratch("crash");
+        let (store, out) = (format!("{dir}/store"), format!("{dir}/out"));
+        let trace = format!("{out}/TRACE_report.json");
+        let killed = run(&argv(&["--campaign", "--store-dir", &store, "--kill-at", "2"]));
+        assert_eq!(killed, 3, "the injected kill must fire");
+        let resumed = run(&argv(&[
+            "--campaign", "--store-dir", &store, "--resume", "--workers", "4",
+            "--trace-out", &trace, "--out", &out,
+        ]));
+        assert_eq!(resumed, 0);
+        let (_, clean) = clean_ops_run();
+        for name in ["dataset.json", "TELEMETRY_deterministic.txt", "TRACE_report.json"] {
+            assert!(read(clean, name) == read(Path::new(&out), name), "{name} differs after resume");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unknown_scenario_is_a_usage_error() {
+        assert_eq!(run(&argv(&["--scenario", "bogus"])), 2);
+    }
 }

@@ -39,8 +39,8 @@ pub use acctrade_workload as workload;
 
 pub use acctrade_core::study;
 
-/// Shared output-directory helper: every example and CI gate writes its
-/// artifacts under `target/` (kept out of the repo by `.gitignore`), and
+/// Shared output-directory helper: every example writes its artifacts
+/// under `target/` (kept out of the repo by `.gitignore`), and
 /// durable campaign stores under `target/store/<tag>`.
 pub mod output {
     use std::path::PathBuf;

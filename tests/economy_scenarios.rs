@@ -7,6 +7,7 @@
 //!   events, no counters, no report section — the study's artifacts are
 //!   those of the pre-economy pipeline.
 
+use acctrade::core::economy::EconomyAnalysis;
 use acctrade::core::study::{Study, StudyConfig, StudyReport};
 use acctrade::economy::{stream_digest, EconomyConfig};
 use acctrade::telemetry;
@@ -61,6 +62,14 @@ fn worker_counts_do_not_perturb_the_economy() {
     let (par, par_cp) = persisted_scenario_run(4, "w4");
     assert_eq!(byte_views(&base), byte_views(&par), "4 workers diverged from 1");
     assert_eq!(base_cp, par_cp, "final checkpoints differ across worker counts");
+
+    // The E1–E3 report settles every order on a listed payment method,
+    // and `ECONOMY_report.json` is canonical: decode, re-encode, same bytes.
+    let analysis = base.economy.as_ref().unwrap();
+    assert!(analysis.reconciliation_ok, "payment reconciliation failed");
+    let json = analysis.to_json_pretty();
+    let decoded: EconomyAnalysis = foundation::json::from_str(&json).expect("report decodes");
+    assert_eq!(decoded.to_json_pretty(), json, "report does not re-encode byte-identically");
 }
 
 #[test]

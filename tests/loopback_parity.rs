@@ -89,11 +89,3 @@ fn loopback_campaign_matches_sim_campaign() {
         assert_eq!(s, l, "offer {i} diverges between transports");
     }
 }
-
-#[test]
-fn loopback_transport_reports_its_mode() {
-    // Provenance surface: the study records which wire it ran on.
-    use acctrade::core::{Study, StudyConfig};
-    let study = Study::new(StudyConfig { seed: 1, scale: 0.01, iterations: 1, scam: Default::default() });
-    assert_eq!(study.transport_mode(), "sim");
-}

@@ -113,10 +113,11 @@ fn tracez_survives_eight_concurrent_producers() {
     assert!(!doc.get("slow").and_then(Json::as_arr).unwrap().is_empty());
 }
 
-/// The acceptance loop of the ops plane: run a campaign with the ops
-/// vhost mounted on a real socket, scrape `/metrics` over loopback TCP,
-/// and reconcile every scraped `source="campaign"` counter against the
-/// study's own `TELEMETRY_report.json` manifest — exactly.
+/// The acceptance loop of the ops plane: run a persisted campaign with
+/// the ops vhost mounted on a real socket, scrape `/metrics` over
+/// loopback TCP, and reconcile every scraped `source="campaign"` counter
+/// against the study's own `TELEMETRY_report.json` manifest — exactly,
+/// except the `store.*` counters, which may run ahead.
 #[test]
 fn scraped_metrics_reconcile_with_manifest_over_real_socket() {
     let rec = telemetry::Recorder::new();
@@ -147,24 +148,18 @@ fn scraped_metrics_reconcile_with_manifest_over_real_socket() {
     assert!(scrape("/healthz").starts_with("ok"));
 
     let config = StudyConfig { seed: 606, scale: 0.01, iterations: 2, scam: Default::default() };
-    let report = Study::new(config).run();
+    let dir = std::env::temp_dir().join(format!("acctrade-ops-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let report = Study::new(config).run_persisted(&dir).expect("persisted run");
+    let _ = std::fs::remove_dir_all(&dir);
     let manifest = &report.telemetry;
     assert!(manifest.validate().is_ok());
-    assert!(!manifest.counters.is_empty());
+    assert!(manifest.counters.iter().any(|c| c.key.starts_with("store.")));
 
     // … and the final scrape agrees with the exported manifest, counter
-    // by counter (no `store.*` slack here: this run is unpersisted).
-    let parsed = telemetry::parse_exposition(&scrape("/metrics"));
-    for entry in &manifest.counters {
-        let key = telemetry::parse_rendered_key(&entry.key);
-        let sample = telemetry::counter_sample_key(&key, "campaign");
-        assert_eq!(
-            parsed.get(&sample),
-            Some(&(entry.value as f64)),
-            "scraped {sample} disagrees with manifest {}",
-            entry.key
-        );
-    }
+    // by counter.
+    let mismatches = telemetry::reconcile_metrics(&scrape("/metrics"), manifest);
+    assert!(mismatches.is_empty(), "/metrics disagrees with the manifest: {mismatches:?}");
     // The recorder's stage spans flowed into the trace ring too.
     let statz = Json::parse(&scrape("/statz")).expect("statz JSON");
     assert!(statz.get("requests").and_then(Json::as_num).unwrap_or(0.0) >= 2.0);
