@@ -73,7 +73,8 @@ fn bench_store(c: &mut Criterion) {
     }
 
     // Replay/recovery throughput: scan, CRC-check, and decode a 10,000
-    // record chain (what `Study::resume_from` pays before continuing).
+    // record chain (what `Study::resume_from_with_workers` pays before
+    // continuing).
     const REPLAYED: usize = 10_000;
     let dir = scratch("replay");
     {

@@ -16,13 +16,11 @@
 
 use crate::{anatomy, dynamics, efficacy, network, report, scamposts, setup, underground};
 use acctrade_crawler::persist::{
-    ApiOutcomeRecord, CampaignCheckpoint, CampaignStore, ShardCursor, CHECKPOINT_SCHEMA,
+    ApiOutcomeRecord, CampaignCheckpoint, CampaignStore, CHECKPOINT_SCHEMA,
 };
 use acctrade_crawler::record::{Dataset, ProfileRecord};
 use acctrade_crawler::resolve::ProfileResolver;
-use acctrade_crawler::schedule::{
-    CampaignProgress, CrawlCampaign, IterationSnapshot, DEFAULT_DAYS_BETWEEN,
-};
+use acctrade_crawler::schedule::{CampaignProgress, CrawlCampaign, DAYS_BETWEEN};
 use acctrade_crawler::underground::UndergroundCollector;
 use ::economy::{EconomyConfig, EconomyEvent, EconomySim};
 use acctrade_net::client::Client;
@@ -110,7 +108,7 @@ pub struct StudyReport {
     /// counters (exported as `TELEMETRY_report.json`).
     pub telemetry: telemetry::RunManifest,
     /// What store recovery salvaged, when this report came out of
-    /// [`Study::resume_from`] (`None` on uninterrupted runs).
+    /// [`Study::resume_from_with_workers`] (`None` on uninterrupted runs).
     pub recovery: Option<RecoveryReport>,
     /// Economy analysis (E1–E3 + payment reconciliation), when the
     /// study ran with [`Study::with_economy`]; `None` otherwise.
@@ -229,11 +227,7 @@ impl Study {
     /// Run the full pipeline. This generates the world internally; use
     /// [`Study::run_on`] to measure a pre-built world.
     pub fn run(&self) -> StudyReport {
-        let mut world = World::generate(WorldParams {
-            seed: self.config.seed,
-            scale: self.config.scale,
-        });
-        self.run_on(&mut world)
+        self.run_on(&mut self.world())
     }
 
     /// Run the pipeline against an existing world.
@@ -243,44 +237,33 @@ impl Study {
     /// otherwise it creates its own. Either way the resulting
     /// [`telemetry::RunManifest`] lands in [`StudyReport::telemetry`].
     pub fn run_on(&self, world: &mut World) -> StudyReport {
-        self.run_on_store(world, None, None, None)
-            .expect("in-memory study cannot fail") // conformance: allow(panic-policy) — no store and no kill hook: infallible by construction
-            .expect("no kill was requested")
+        self.run_fresh(world, None, Kill::Never)
+            .map(unkilled)
+            .expect("in-memory study cannot fail") // conformance: allow(panic-policy) — no store: infallible by construction
     }
 
     /// Run the full pipeline, streaming every dataset record into a
     /// durable store at `store_dir` with per-iteration checkpoints.
     ///
     /// A process that dies mid-campaign leaves behind a WAL plus a
-    /// checkpoint from which [`Study::resume_from`] continues the run —
-    /// producing a byte-identical dataset and telemetry manifest versus
-    /// an uninterrupted run of the same seed.
+    /// checkpoint from which [`Study::resume_from_with_workers`]
+    /// continues the run — producing a byte-identical dataset and
+    /// telemetry manifest versus an uninterrupted run of the same seed.
     pub fn run_persisted(&self, store_dir: &Path) -> Result<StudyReport, StoreError> {
-        let mut world = World::generate(WorldParams {
-            seed: self.config.seed,
-            scale: self.config.scale,
-        });
-        let mut store = CampaignStore::create(store_dir)?;
-        Ok(self
-            .run_on_store(&mut world, Some(&mut store), None, None)?
-            .expect("no kill was requested")) // conformance: allow(panic-policy) — no kill hook was passed
+        self.run_persisted_until(store_dir, Kill::Never).map(unkilled)
     }
 
     /// [`Study::run_persisted`], but stop (simulating a crash) once
     /// `kill_after_iterations` campaign iterations have completed and
-    /// checkpointed. Returns `Ok(None)` when the kill fired; `Ok(Some)`
-    /// when the whole study finished first.
+    /// checkpointed. The first checkpoint lands after iteration 0, so a
+    /// kill point of 0 stops where 1 does. Returns `Ok(None)` when the
+    /// kill fired; `Ok(Some)` when the whole study finished first.
     pub fn run_persisted_with_kill(
         &self,
         store_dir: &Path,
         kill_after_iterations: usize,
     ) -> Result<Option<StudyReport>, StoreError> {
-        let mut world = World::generate(WorldParams {
-            seed: self.config.seed,
-            scale: self.config.scale,
-        });
-        let mut store = CampaignStore::create(store_dir)?;
-        self.run_on_store(&mut world, Some(&mut store), Some(kill_after_iterations), None)
+        self.run_persisted_until(store_dir, Kill::AfterIterations(kill_after_iterations))
     }
 
     /// [`Study::run_persisted`], but simulate a process death *inside*
@@ -296,15 +279,13 @@ impl Study {
         iteration: usize,
         after_shards: usize,
     ) -> Result<Option<StudyReport>, StoreError> {
-        let mut world = World::generate(WorldParams {
-            seed: self.config.seed,
-            scale: self.config.scale,
-        });
-        let mut store = CampaignStore::create(store_dir)?;
-        self.run_on_store(&mut world, Some(&mut store), None, Some((iteration, after_shards)))
+        self.run_persisted_until(store_dir, Kill::MidIteration(iteration, after_shards))
     }
 
-    /// Resume an interrupted persisted study from `store_dir`.
+    /// Resume an interrupted persisted study from `store_dir` on
+    /// `workers` crawl-engine threads. The count need not match the
+    /// interrupted run's — any combination converges on byte-identical
+    /// artifacts.
     ///
     /// Recovery first (on the *ambient* telemetry recorder): the WAL is
     /// replayed, torn tails truncated, uncommitted records rolled back.
@@ -312,14 +293,8 @@ impl Study {
     /// through the checkpointed evolution timestamps, virtual clock and
     /// fabric RNG seeked to their checkpointed positions, telemetry
     /// restored from its snapshot — and the campaign continues at the
-    /// checkpointed iteration as if never interrupted.
-    pub fn resume_from(config: StudyConfig, store_dir: &Path) -> Result<StudyReport, StoreError> {
-        Study::resume_from_with_workers(config, store_dir, 1)
-    }
-
-    /// [`Study::resume_from`] with an explicit crawl-engine worker
-    /// count. The count need not match the interrupted run's — any
-    /// combination converges on byte-identical artifacts.
+    /// checkpointed iteration as if never interrupted. The economy
+    /// scenario, if any, is the one the checkpoint names.
     pub fn resume_from_with_workers(
         config: StudyConfig,
         store_dir: &Path,
@@ -337,62 +312,55 @@ impl Study {
                 cp.seed, config.seed
             )));
         }
-        let config_digest = telemetry::digest64(&format!("{:?}", config));
+        let mut study = Study::new(config).with_workers(workers);
+        let config_digest = study.config_digest();
         if cp.config_digest != config_digest {
             return Err(StoreError::Invalid(format!(
                 "checkpoint config digest {} does not match config digest {config_digest}",
                 cp.config_digest
             )));
         }
-
         // The economy scenario rides in the checkpoint, not the config:
         // a resume must rebuild exactly the economy the interrupted run
         // was simulating.
-        let economy_cfg = if cp.economy_scenario.is_empty() {
-            None
-        } else {
-            match EconomyConfig::scenario(&cp.economy_scenario) {
-                Some(cfg) => Some(cfg),
-                None => {
-                    return Err(StoreError::Invalid(format!(
-                        "checkpoint names unknown economy scenario {:?}",
-                        cp.economy_scenario
-                    )))
-                }
-            }
-        };
-        let mut study = Study::new(config).with_workers(workers);
-        study.economy = economy_cfg.clone();
+        if !cp.economy_scenario.is_empty() {
+            let scenario = EconomyConfig::scenario(&cp.economy_scenario);
+            study.economy = Some(scenario.ok_or_else(|| {
+                StoreError::Invalid(format!(
+                    "checkpoint names unknown economy scenario {:?}",
+                    cp.economy_scenario
+                ))
+            })?);
+        }
 
         // Rebuild the simulation silently: deploy and world evolution were
         // already recorded before the interruption; re-recording them would
         // diverge from an uninterrupted run.
         let mut world;
-        let net;
-        let mut sim;
+        let mut run;
         {
             let quiet = telemetry::Recorder::disabled();
             let _gag = quiet.enter();
-            world = World::generate(WorldParams { seed: config.seed, scale: config.scale });
-            net = SimNet::new(config.seed);
-            world.deploy(&net);
+            world = study.world();
+            run = study.start(&mut world, quiet);
+            if run.t0_unix != cp.t0_unix {
+                return Err(StoreError::Invalid(format!(
+                    "checkpoint t0 {} does not match the rebuilt deploy's {}",
+                    cp.t0_unix, run.t0_unix
+                )));
+            }
             // The economy replays the same schedule the live run walked:
             // primed at t0, advanced at every inter-iteration step.
-            sim = economy_cfg.map(|cfg| {
-                let mut sim = EconomySim::new(config.seed, config.scale, cfg);
-                sim.prime(&mut world, cp.t0_unix);
-                sim
-            });
             for &at in &cp.step_unixes {
                 world.step_iteration(at);
-                if let Some(sim) = sim.as_mut() {
+                if let Some(sim) = run.economy.as_mut() {
                     sim.advance_to(&mut world, at);
                 }
             }
-            net.clock().advance_to(cp.clock_us);
-            net.set_rng_word_position(cp.net_rng_words);
+            run.net.clock().advance_to(cp.clock_us);
+            run.net.set_rng_word_position(cp.net_rng_words);
         }
-        if let Some(sim) = sim.as_mut() {
+        if let Some(sim) = run.economy.as_mut() {
             // Integrity gate: the deterministic rebuild must reproduce
             // the committed WAL stream event for event, or the store
             // does not describe this seed/scenario.
@@ -407,20 +375,11 @@ impl Study {
             sim.mark_all_persisted();
         }
 
-        let rec = telemetry::Recorder::from_snapshot(&cp.telemetry);
-        rec.set_virtual_clock(Arc::new(net.clock().clone()));
-        let _scope = rec.enter();
-
-        let ctx = PersistCtx {
-            config_digest,
-            iterations: cp.iterations_total,
-            days_between: cp.days_between,
-            t0_unix: cp.t0_unix,
-            campaign_started_us: cp.campaign_started_us,
-            requests_base: cp.requests_issued,
-            kill_after: None,
-            shard_kill: None,
-        };
+        run.rec = telemetry::Recorder::from_snapshot(&cp.telemetry);
+        run.rec.set_virtual_clock(Arc::new(run.net.clock().clone()));
+        run.campaign_started_us = cp.campaign_started_us;
+        run.requests_base = cp.requests_issued;
+        run.recovery = Some(recovery);
         // The re-visit comparison basis is rebuilt the way the live run
         // built it: first parsed price per offer, then every committed
         // observation applied in stream order.
@@ -433,7 +392,7 @@ impl Study {
         for obs in &wal.price_obs {
             last_price.insert(obs.offer_url.clone(), obs.price_usd);
         }
-        let mut progress = CampaignProgress {
+        run.progress = CampaignProgress {
             seen: wal.dataset.offers.iter().map(|o| o.offer_url.clone()).collect(),
             offers: wal.dataset.offers,
             snapshots: cp.snapshots,
@@ -443,52 +402,40 @@ impl Study {
             price_obs: wal.price_obs,
             last_price,
         };
-        {
-            // Re-open the interrupted `crawl_campaign` span at its original
-            // virtual start, so the resumed manifest reports the same stage.
-            let _stage = rec.span_starting_at("crawl_campaign", cp.campaign_started_us);
-            study.run_campaign_segment(
-                &mut world,
-                &net,
-                &rec,
-                &mut progress,
-                &mut store,
-                sim.as_mut(),
-                &ctx,
-            )?;
-        }
-
-        let dataset =
-            Dataset { offers: std::mem::take(&mut progress.offers), ..Dataset::default() };
-        let outcome = CampaignOutcome {
-            dataset,
-            snapshots: progress.snapshots,
-            step_unixes: progress.step_unixes,
-            shard_cursors: progress.shard_cursors,
-            economy_events: sim.map(|s| s.events().to_vec()).unwrap_or_default(),
-            price_observations: progress.price_obs.len(),
-            recovery: Some(recovery),
-        };
-        study.finish(&mut world, &net, &rec, Some(&mut store), outcome, &ctx)
+        run.complete(&mut world, Some(&mut store), Kill::Never).map(unkilled)
     }
 
-    /// The shared engine behind [`Study::run_on`], [`Study::run_persisted`]
-    /// and [`Study::run_persisted_with_kill`]: deploy, campaign (with
-    /// optional persistence and crash injection), then the shared tail.
-    /// Returns `Ok(None)` when a requested kill fired mid-campaign.
-    fn run_on_store(
+    /// A fresh persisted run into a new store at `store_dir`, stopped at
+    /// `kill`.
+    fn run_persisted_until(
+        &self,
+        store_dir: &Path,
+        kill: Kill,
+    ) -> Result<Option<StudyReport>, StoreError> {
+        let mut world = self.world();
+        let mut store = CampaignStore::create(store_dir)?;
+        self.run_fresh(&mut world, Some(&mut store), kill)
+    }
+
+    /// A fresh run on `world`, recording into the caller's scoped
+    /// recorder or, when none is enabled, a new one.
+    fn run_fresh(
         &self,
         world: &mut World,
-        mut store: Option<&mut CampaignStore>,
-        kill_after: Option<usize>,
-        shard_kill: Option<(usize, usize)>,
+        store: Option<&mut CampaignStore>,
+        kill: Kill,
     ) -> Result<Option<StudyReport>, StoreError> {
-        // Resolve the recorder before touching the fabric so
-        // `SimNet::with_clock` installs the virtual clock into it.
         let current = telemetry::recorder();
         let rec = if current.is_enabled() { current } else { telemetry::Recorder::new() };
-        let _scope = rec.enter();
+        self.start(world, rec).complete(world, store, kill)
+    }
 
+    /// Deploy `world` on a new fabric and prime the economy: the state a
+    /// campaign starts from. `rec` is scoped meanwhile, so `SimNet::new`
+    /// installs the virtual clock into it and the deploy stage lands in
+    /// it.
+    fn start(&self, world: &mut World, rec: telemetry::Recorder) -> Run<'_> {
+        let _scope = rec.enter();
         let net = SimNet::new(self.config.seed);
         {
             let _stage = telemetry::span("deploy");
@@ -497,140 +444,167 @@ impl Study {
         // Provenance: a study always crawls the sim fabric; loopback
         // crawls install a transport on their own `Client`.
         rec.event("transport_mode", "sim");
-        let t0 = net.clock().now_unix();
+        let t0_unix = net.clock().now_unix();
 
         // The economy primes right after deploy — bot sellers register
         // and the engines schedule their first actions at t0 — so the
         // first crawl pass already sees the operated market.
-        let mut sim = self.economy.clone().map(|cfg| {
+        let economy = self.economy.clone().map(|cfg| {
             let mut sim = EconomySim::new(self.config.seed, self.config.scale, cfg);
-            sim.prime(world, t0);
+            sim.prime(world, t0_unix);
             sim
         });
-
-        let mut ctx = PersistCtx {
-            config_digest: telemetry::digest64(&format!("{:?}", self.config)),
-            iterations: self.config.iterations.max(1),
-            days_between: DEFAULT_DAYS_BETWEEN,
-            t0_unix: t0,
-            campaign_started_us: 0,
+        let campaign_started_us = rec.virtual_now();
+        Run {
+            study: self,
+            net,
+            rec,
+            economy,
+            progress: CampaignProgress::default(),
+            t0_unix,
+            campaign_started_us,
             requests_base: 0,
-            kill_after,
-            shard_kill,
-        };
-
-        // -- Module 2a: the public-marketplace crawl campaign.
-        let mut progress = CampaignProgress::default();
-        ctx.campaign_started_us = rec.virtual_now();
-        {
-            let _stage = telemetry::span("crawl_campaign");
-            if let Some(s) = store.as_deref_mut() {
-                self.run_campaign_segment(world, &net, &rec, &mut progress, s, sim.as_mut(), &ctx)?;
-            } else {
-                let crawler_client =
-                    Client::new(&net, "acctrade-crawler/0.1").with_politeness(20.0, 8.0);
-                let mut campaign = CrawlCampaign::new(&crawler_client);
-                campaign.days_between = ctx.days_between;
-                campaign.workers = self.workers;
-                campaign.shard_kill = ctx.shard_kill;
-                campaign
-                    .run_resumable(world, ctx.iterations, &mut progress, None, sim.as_mut(), |_, _| {
-                        Ok(true)
-                    })
-                    .map_err(StoreError::Io)?;
-            }
+            recovery: None,
         }
-        if progress.next_iteration < ctx.iterations {
-            // The injected kill fired; the checkpoint and WAL are on disk.
+    }
+
+    /// The seeded world this study measures.
+    fn world(&self) -> World {
+        World::generate(WorldParams { seed: self.config.seed, scale: self.config.scale })
+    }
+
+    /// Campaign iterations (at least one).
+    fn iterations(&self) -> usize {
+        self.config.iterations.max(1)
+    }
+
+    /// Digest of the study configuration (a resume must match it).
+    fn config_digest(&self) -> String {
+        telemetry::digest64(&format!("{:?}", self.config))
+    }
+}
+
+/// The report of a run started with [`Kill::Never`], which always
+/// finishes.
+fn unkilled(report: Option<StudyReport>) -> StudyReport {
+    report.expect("no kill was requested") // conformance: allow(panic-policy) — only an injected kill stops a campaign early
+}
+
+/// Where an injected crash stops a persisted run.
+#[derive(Clone, Copy)]
+enum Kill {
+    /// Nowhere: the run finishes.
+    Never,
+    /// Once this many iterations completed and checkpointed.
+    AfterIterations(usize),
+    /// During iteration `.0`, once `.1` of its shards completed.
+    MidIteration(usize, usize),
+}
+
+/// One run's state: built by [`Study::start`] for a fresh run, or rebuilt
+/// from a store by [`Study::resume_from_with_workers`]. Either way
+/// [`Run::complete`] takes it from its next campaign iteration to the
+/// finished report.
+struct Run<'s> {
+    /// The study this run executes.
+    study: &'s Study,
+    /// The fabric the world is deployed on.
+    net: Arc<SimNet>,
+    /// The study's recorder (restored from the checkpoint on resume).
+    rec: telemetry::Recorder,
+    /// The live economy, when one is attached.
+    economy: Option<EconomySim>,
+    /// Campaign state so far (restored from the WAL on resume).
+    progress: CampaignProgress,
+    /// Virtual unix time right after deploy (campaign_days basis).
+    t0_unix: i64,
+    /// Virtual µs when the `crawl_campaign` stage opened.
+    campaign_started_us: u64,
+    /// Requests issued before this process took over (resume only).
+    requests_base: usize,
+    /// What store recovery salvaged (resume only).
+    recovery: Option<RecoveryReport>,
+}
+
+impl Run<'_> {
+    /// The rest of the crawl campaign — checkpointing after every
+    /// iteration when a store is attached — then [`Run::finish`].
+    /// Returns `Ok(None)` when `kill` fired mid-campaign; the checkpoint
+    /// and WAL are then on disk.
+    fn complete(
+        mut self,
+        world: &mut World,
+        mut store: Option<&mut CampaignStore>,
+        kill: Kill,
+    ) -> Result<Option<StudyReport>, StoreError> {
+        let _scope = self.rec.enter();
+        // Moved out while the campaign runs: its checkpoint closure
+        // borrows the rest of the run.
+        let mut progress = std::mem::take(&mut self.progress);
+        let mut economy = self.economy.take();
+        {
+            // -- Module 2a: the public-marketplace crawl campaign. The
+            //    stage opens at the campaign's original virtual start, so
+            //    a resumed manifest reports the same stage.
+            let _stage = self.rec.span_starting_at("crawl_campaign", self.campaign_started_us);
+            let client =
+                Client::new(&self.net, "acctrade-crawler/0.1").with_politeness(20.0, 8.0);
+            let mut campaign = CrawlCampaign::new(&client);
+            campaign.workers = self.study.workers;
+            if let Kill::MidIteration(iteration, shards) = kill {
+                campaign.shard_kill = Some((iteration, shards));
+            }
+            campaign
+                .run_resumable(
+                    world,
+                    self.study.iterations(),
+                    &mut progress,
+                    store.as_deref_mut(),
+                    economy.as_mut(),
+                    |progress, store| {
+                        if let Some(s) = store {
+                            s.write_checkpoint(&self.checkpoint(s, progress, false))?;
+                        }
+                        let next = progress.next_iteration;
+                        Ok(!matches!(kill, Kill::AfterIterations(k) if next >= k))
+                    },
+                )
+                .map_err(StoreError::Io)?;
+        }
+        if progress.next_iteration < self.study.iterations() {
             return Ok(None);
         }
-
-        let dataset =
-            Dataset { offers: std::mem::take(&mut progress.offers), ..Dataset::default() };
-        let outcome = CampaignOutcome {
-            dataset,
-            snapshots: progress.snapshots,
-            step_unixes: progress.step_unixes,
-            shard_cursors: progress.shard_cursors,
-            economy_events: sim.map(|s| s.events().to_vec()).unwrap_or_default(),
-            price_observations: progress.price_obs.len(),
-            recovery: None,
-        };
-        self.finish(world, &net, &rec, store, outcome, &ctx).map(Some)
+        self.progress = progress;
+        self.economy = economy;
+        self.finish(world, store).map(Some)
     }
 
-    /// Run (or continue) the crawl campaign against a durable store,
-    /// checkpointing after every iteration and honouring `ctx.kill_after`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_campaign_segment(
+    /// A checkpoint capturing the run's entire resumable state.
+    fn checkpoint(
         &self,
-        world: &mut World,
-        net: &std::sync::Arc<SimNet>,
-        rec: &telemetry::Recorder,
-        progress: &mut CampaignProgress,
-        store: &mut CampaignStore,
-        economy: Option<&mut EconomySim>,
-        ctx: &PersistCtx,
-    ) -> Result<(), StoreError> {
-        let crawler_client = Client::new(net, "acctrade-crawler/0.1").with_politeness(20.0, 8.0);
-        let mut campaign = CrawlCampaign::new(&crawler_client);
-        campaign.days_between = ctx.days_between;
-        campaign.workers = self.workers;
-        campaign.shard_kill = ctx.shard_kill;
-        campaign
-            .run_resumable(world, ctx.iterations, progress, Some(store), economy, |progress, store| {
-                if let Some(s) = store {
-                    let cp = self.make_checkpoint(
-                        net,
-                        rec,
-                        s,
-                        ctx,
-                        progress.next_iteration,
-                        &progress.snapshots,
-                        &progress.step_unixes,
-                        &progress.shard_cursors,
-                        false,
-                    );
-                    s.write_checkpoint(&cp)?;
-                }
-                Ok(ctx.kill_after.is_none_or(|k| progress.next_iteration < k))
-            })
-            .map_err(StoreError::Io)
-    }
-
-    /// Build a checkpoint capturing the run's entire resumable state.
-    #[allow(clippy::too_many_arguments)]
-    fn make_checkpoint(
-        &self,
-        net: &std::sync::Arc<SimNet>,
-        rec: &telemetry::Recorder,
         store: &CampaignStore,
-        ctx: &PersistCtx,
-        next_iteration: usize,
-        snapshots: &[IterationSnapshot],
-        step_unixes: &[i64],
-        shard_cursors: &[ShardCursor],
+        progress: &CampaignProgress,
         complete: bool,
     ) -> CampaignCheckpoint {
         CampaignCheckpoint {
             schema: CHECKPOINT_SCHEMA.to_string(),
-            seed: self.config.seed,
-            config_digest: ctx.config_digest.clone(),
-            iterations_total: ctx.iterations,
-            next_iteration,
-            days_between: ctx.days_between,
-            t0_unix: ctx.t0_unix,
-            campaign_started_us: ctx.campaign_started_us,
-            clock_us: net.clock().now_us(),
-            net_rng_words: net.rng_word_position(),
-            requests_issued: ctx.requests_base + net.request_count(),
+            seed: self.study.config.seed,
+            config_digest: self.study.config_digest(),
+            iterations_total: self.study.iterations(),
+            next_iteration: progress.next_iteration,
+            days_between: DAYS_BETWEEN,
+            t0_unix: self.t0_unix,
+            campaign_started_us: self.campaign_started_us,
+            clock_us: self.net.clock().now_us(),
+            net_rng_words: self.net.rng_word_position(),
+            requests_issued: self.requests_base + self.net.request_count(),
             committed_records: store.total_records(),
             segment_max_bytes: store.segment_max_bytes(),
-            step_unixes: step_unixes.to_vec(),
-            snapshots: snapshots.to_vec(),
-            shard_cursors: shard_cursors.to_vec(),
-            telemetry: rec.snapshot(),
-            economy_scenario: self.economy_scenario().to_string(),
+            step_unixes: progress.step_unixes.clone(),
+            snapshots: progress.snapshots.clone(),
+            shard_cursors: progress.shard_cursors.clone(),
+            telemetry: self.rec.snapshot(),
+            economy_scenario: self.study.economy_scenario().to_string(),
             complete,
         }
     }
@@ -639,23 +613,15 @@ impl Study {
     /// collection, moderation, the §8 re-query, the analyses, the
     /// manifest, and — on persisted runs — the final complete checkpoint.
     fn finish(
-        &self,
+        mut self,
         world: &mut World,
-        net: &std::sync::Arc<SimNet>,
-        rec: &telemetry::Recorder,
         mut store: Option<&mut CampaignStore>,
-        outcome: CampaignOutcome,
-        ctx: &PersistCtx,
     ) -> Result<StudyReport, StoreError> {
-        let CampaignOutcome {
-            mut dataset,
-            snapshots,
-            step_unixes,
-            shard_cursors,
-            economy_events,
-            price_observations,
-            recovery,
-        } = outcome;
+        let config = self.study.config;
+        let net = &self.net;
+        let mut dataset =
+            Dataset { offers: std::mem::take(&mut self.progress.offers), ..Dataset::default() };
+        let economy_events = self.economy.take().map(|s| s.events().to_vec()).unwrap_or_default();
 
         // -- Module 2b: profile metadata + timelines for visible accounts.
         let api_client = Client::new(net, "acctrade-pipeline/0.1");
@@ -672,14 +638,14 @@ impl Study {
         {
             let _stage = telemetry::span("underground_collection");
             let directory = TorDirectory::default_consensus();
-            let mut tor_rng = ChaCha8Rng::seed_from_u64(self.config.seed ^ 0x70C0_11EC);
+            let mut tor_rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x70C0_11EC);
             // Every inspected market is visited — including the two that
             // turn out to sell nothing (the paper did the same; their
             // emptiness is itself a §4.2 finding).
             for forum in &world.forums {
                 let cfg = forum.config();
                 let operator = Client::new(net, "tor-browser/13")
-                    .manual(self.config.seed ^ cfg.id as u64)
+                    .manual(config.seed ^ cfg.id as u64)
                     .via_tor(directory.build_circuit(&mut tor_rng));
                 let collector =
                     UndergroundCollector::new(&operator, cfg.host.clone(), cfg.name);
@@ -731,22 +697,22 @@ impl Study {
         }
         let table2 = anatomy::table2(&dataset.offers, &visible_and_posts);
         let anatomy_stats = anatomy::anatomy_stats(&dataset.offers);
-        let listing_dynamics = dynamics::ListingDynamics::from_snapshots(&snapshots);
+        let listing_dynamics = dynamics::ListingDynamics::from_snapshots(&self.progress.snapshots);
         let table4 = setup::table4(&dataset.profiles);
         let creation = setup::creation_cdf(&dataset.profiles);
         let setup_stats = setup::setup_stats(&dataset.profiles);
-        let scam = scamposts::analyze(&dataset.posts, self.config.scam);
+        let scam = scamposts::analyze(&dataset.posts, config.scam);
         let network_analysis = network::analyze(&dataset.profiles);
         let efficacy_analysis = efficacy::analyze(&requery);
         let underground_analysis = underground::analyze(&dataset.underground);
-        let campaign_days = (net.clock().now_unix() - ctx.t0_unix) as f64 / 86_400.0;
-        let economy_analysis = match &self.economy {
+        let campaign_days = (net.clock().now_unix() - self.t0_unix) as f64 / 86_400.0;
+        let economy_analysis = match &self.study.economy {
             Some(cfg) => Some(
                 crate::economy::analyze(
                     cfg.name,
                     &economy_events,
                     world,
-                    ctx.t0_unix,
+                    self.t0_unix,
                     campaign_days,
                 )
                 .map_err(StoreError::Invalid)?,
@@ -755,29 +721,18 @@ impl Study {
         };
         drop(_stage); // close the analysis span before exporting stages
 
-        let manifest = rec.manifest("study", self.config.seed, &ctx.config_digest);
+        let manifest = self.rec.manifest("study", config.seed, &self.study.config_digest());
 
         // Persisted runs end with a durable sync and a `complete`
         // checkpoint, so a finished store is never mistaken for an
         // interrupted one.
         if let Some(s) = store {
             s.sync()?;
-            let cp = self.make_checkpoint(
-                net,
-                rec,
-                s,
-                ctx,
-                ctx.iterations,
-                &snapshots,
-                &step_unixes,
-                &shard_cursors,
-                true,
-            );
-            s.write_checkpoint(&cp)?;
+            s.write_checkpoint(&self.checkpoint(s, &self.progress, true))?;
         }
 
         Ok(StudyReport {
-            config: self.config,
+            config,
             dataset,
             table1,
             table2,
@@ -790,47 +745,15 @@ impl Study {
             network: network_analysis,
             efficacy: efficacy_analysis,
             underground: underground_analysis,
-            requests_issued: ctx.requests_base + net.request_count(),
+            requests_issued: self.requests_base + net.request_count(),
             campaign_days,
             telemetry: manifest,
-            recovery,
+            recovery: self.recovery,
             economy: economy_analysis,
             economy_events,
-            price_observations,
+            price_observations: self.progress.price_obs.len(),
         })
     }
-}
-
-/// Context shared by every phase of a (possibly persisted) run.
-struct PersistCtx {
-    /// Digest of the study configuration.
-    config_digest: String,
-    /// Campaign iterations (`config.iterations.max(1)`).
-    iterations: usize,
-    /// Virtual days between iterations.
-    days_between: u64,
-    /// Virtual unix time right after deploy (campaign_days basis).
-    t0_unix: i64,
-    /// Virtual µs when the `crawl_campaign` stage opened.
-    campaign_started_us: u64,
-    /// Requests issued before this process took over (resume only).
-    requests_base: usize,
-    /// Crash injection: stop after this many completed iterations.
-    kill_after: Option<usize>,
-    /// Crash injection inside the parallel phase: abort during
-    /// iteration `.0` once `.1` shards completed.
-    shard_kill: Option<(usize, usize)>,
-}
-
-/// What the campaign phase hands to the shared tail.
-struct CampaignOutcome {
-    dataset: Dataset,
-    snapshots: Vec<IterationSnapshot>,
-    step_unixes: Vec<i64>,
-    shard_cursors: Vec<ShardCursor>,
-    economy_events: Vec<EconomyEvent>,
-    price_observations: usize,
-    recovery: Option<RecoveryReport>,
 }
 
 #[cfg(test)]

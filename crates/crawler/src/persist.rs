@@ -25,7 +25,7 @@ use crate::record::{
     UndergroundRecord,
 };
 use economy::EconomyEvent;
-use crate::schedule::IterationSnapshot;
+use crate::schedule::{IterationSnapshot, DAYS_BETWEEN};
 use foundation::json;
 use foundation::json_codec_struct;
 use std::io;
@@ -60,8 +60,9 @@ pub(crate) const CHECKPOINT_FILE: &str = "checkpoint.json";
 /// Checkpoint schema identifier. v2 added `shard_cursors` (per-shard
 /// lane provenance from the parallel crawl engine); v3 added
 /// `economy_scenario` (the economy scenario pack a campaign runs with —
-/// empty when the subsystem is disabled — so resume can refuse a
-/// scenario mismatch the same way it refuses a seed mismatch).
+/// empty when the subsystem is disabled). Resume refuses a seed or
+/// config mismatch, but adopts the checkpoint's scenario: it rebuilds
+/// whatever economy the interrupted run was simulating.
 pub const CHECKPOINT_SCHEMA: &str = "acctrade-campaign-checkpoint/v3";
 
 /// Per-shard lane provenance from the last completed iteration: where
@@ -114,7 +115,10 @@ pub struct CampaignCheckpoint {
     pub iterations_total: usize,
     /// Next iteration to execute on resume.
     pub next_iteration: usize,
-    /// Virtual days between iterations.
+    /// Virtual days between iterations. Always
+    /// [`DAYS_BETWEEN`](crate::schedule::DAYS_BETWEEN); the field stays so
+    /// the on-disk format is unchanged, and [`CampaignCheckpoint::validate`]
+    /// rejects any other value.
     pub days_between: u64,
     /// Virtual unix time when the study started (campaign_days basis).
     pub t0_unix: i64,
@@ -139,7 +143,8 @@ pub struct CampaignCheckpoint {
     /// (empty before the first iteration finishes).
     pub shard_cursors: Vec<ShardCursor>,
     /// Economy scenario pack the campaign runs with (empty string when
-    /// the economy subsystem is disabled). Resume refuses a mismatch.
+    /// the economy subsystem is disabled). Resume adopts it: the resumed
+    /// run rebuilds this scenario's economy.
     pub economy_scenario: String,
     /// Full telemetry snapshot at checkpoint time.
     pub telemetry: TelemetrySnapshot,
@@ -186,6 +191,12 @@ impl CampaignCheckpoint {
                 "{} snapshots but next_iteration {}",
                 self.snapshots.len(),
                 self.next_iteration
+            ));
+        }
+        if self.days_between != DAYS_BETWEEN {
+            return Err(format!(
+                "days_between {} is not the campaign spacing {DAYS_BETWEEN}",
+                self.days_between
             ));
         }
         if self.config_digest.len() != 16 {
@@ -654,6 +665,9 @@ mod tests {
         assert!(bad.validate().is_err());
         let mut bad = cp.clone();
         bad.next_iteration = 99;
+        assert!(bad.validate().is_err());
+        let mut bad = cp.clone();
+        bad.days_between = 7;
         assert!(bad.validate().is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }

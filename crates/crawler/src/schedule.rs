@@ -66,16 +66,13 @@ pub struct CampaignProgress {
     pub last_price: BTreeMap<String, f64>,
 }
 
-/// Default virtual days between iterations (the paper's ~150-day
-/// Feb–Jun window spread over ~10 passes).
-pub const DEFAULT_DAYS_BETWEEN: u64 = 15;
+/// Virtual days between iterations (the paper's ~150-day Feb–Jun
+/// window spread over ~10 passes).
+pub const DAYS_BETWEEN: u64 = 15;
 
 /// The full collection campaign.
 pub struct CrawlCampaign<'a> {
     client: &'a Client,
-    /// Virtual days between iterations (the Feb–Jun window spread over
-    /// the configured number of passes).
-    pub days_between: u64,
     /// Worker threads for the sharded crawl engine. Any value produces
     /// byte-identical artifacts — shards run on deterministic lanes and
     /// merge canonically ([`crate::steal`], [`crate::merge`]) — so this
@@ -89,15 +86,10 @@ pub struct CrawlCampaign<'a> {
 }
 
 impl<'a> CrawlCampaign<'a> {
-    /// A campaign with the paper's spacing: 10 iterations across ~150
-    /// days.
+    /// A campaign with the paper's spacing: [`DAYS_BETWEEN`] virtual
+    /// days between passes.
     pub fn new(client: &'a Client) -> CrawlCampaign<'a> {
-        CrawlCampaign {
-            client,
-            days_between: DEFAULT_DAYS_BETWEEN,
-            workers: 1,
-            shard_kill: None,
-        }
+        CrawlCampaign { client, workers: 1, shard_kill: None }
     }
 
     /// Run `iterations` passes over all marketplaces, evolving `world`
@@ -258,7 +250,7 @@ impl<'a> CrawlCampaign<'a> {
 
             if iteration + 1 < iterations {
                 // Advance the window and let the market evolve.
-                self.client.net().clock().advance(self.days_between * DAY);
+                self.client.net().clock().advance(DAYS_BETWEEN * DAY);
                 let stepped_at = self.client.net().clock().now_unix();
                 world.step_iteration(stepped_at);
                 progress.step_unixes.push(stepped_at);
@@ -291,17 +283,6 @@ impl<'a> CrawlCampaign<'a> {
         }
         Ok(())
     }
-}
-
-/// Deduplicate offers by URL keeping first-seen order (used when merging
-/// externally collected record sets).
-// conformance: allow(pub-hygiene) — tested merge utility kept as public API
-pub fn dedup_offers(offers: Vec<OfferRecord>) -> Vec<OfferRecord> {
-    let mut seen = BTreeSet::new();
-    offers
-        .into_iter()
-        .filter(|o| seen.insert(o.offer_url.clone()))
-        .collect()
 }
 
 #[cfg(test)]
@@ -345,31 +326,5 @@ mod tests {
         let elapsed_days = (net.clock().now_unix() - t0) / 86_400;
         assert!(elapsed_days >= 30, "two 15-day gaps expected, got {elapsed_days}d");
         assert!(snaps[1].at_unix > snaps[0].at_unix);
-    }
-
-    #[test]
-    fn dedup_keeps_first_record() {
-        let mk = |url: &str, it: usize| OfferRecord {
-            marketplace: "m".into(),
-            offer_url: url.into(),
-            title: String::new(),
-            seller: None,
-            seller_country: None,
-            price_usd: None,
-            platform: None,
-            category: None,
-            claimed_followers: None,
-            claims_verified: false,
-            monthly_revenue_usd: None,
-            income_source: None,
-            description: None,
-            profile_link: None,
-            handle: None,
-            collected_unix: 0,
-            iteration: it,
-        };
-        let out = dedup_offers(vec![mk("a", 0), mk("b", 0), mk("a", 1)]);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].iteration, 0);
     }
 }

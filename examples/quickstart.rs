@@ -63,8 +63,10 @@
 //! curl -H 'host: ops.acctrade.local' http://127.0.0.1:<port>/metrics
 //! ```
 //!
-//! Exit codes: `0` success; `2` bad CLI usage (unknown scenario, or a
-//! resume whose store ran a different scenario); `3` an injected
+//! Exit codes: `0` success; `2` bad CLI usage: an unknown scenario, a
+//! `--kill-at` or `--workers` value that is not a positive whole number,
+//! or a `--resume --scenario` other than the one the store ran (refused
+//! before the store is touched); `3` an injected
 //! `--kill-at` crash fired (the store is left resumable); `5` economy
 //! payment reconciliation failure (a settled order used a method its
 //! marketplace does not list); `6` ops reconciliation failure (the final
@@ -76,7 +78,7 @@
 // conformance: atomics(relaxed) — demo counter, no cross-thread protocol
 
 use acctrade::core::{Study, StudyConfig};
-use acctrade::crawler::{MarketplaceCrawler, ProfileResolver};
+use acctrade::crawler::{CampaignStore, MarketplaceCrawler, ProfileResolver};
 use acctrade::httpd::{
     HostTable, HttpServer, LoopbackTransport, OpsPlane, ServerConfig, TimeSource, OPS_HOST,
 };
@@ -93,6 +95,17 @@ use std::sync::Arc;
 /// The `--flag value` lookup for the campaign mode's tiny CLI.
 fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(|s| s.as_str())
+}
+
+/// `--flag N` as a positive whole number: `Ok(None)` when the flag is
+/// absent, `Err` with a usage message when its value is not one.
+fn positive_arg(args: &[String], flag: &str) -> Result<Option<usize>, String> {
+    arg_value(args, flag)
+        .map(|v| match v.parse::<usize>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!("{flag} takes a positive whole number, got {v:?}")),
+        })
+        .transpose()
 }
 
 /// One GET against the ops virtual host over real loopback sockets —
@@ -195,16 +208,17 @@ fn campaign_config() -> StudyConfig {
 /// `--campaign`: a persisted (and optionally crashed / resumed) study.
 /// Returns the process exit code.
 fn campaign_mode(args: &[String]) -> i32 {
-    let store_dir = arg_value(args, "--store-dir")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| acctrade::output::store_dir("quickstart"));
-    let out_dir = arg_value(args, "--out").map(PathBuf::from).unwrap_or_else(acctrade::output::dir);
-    let config = campaign_config();
-    // Crawl-engine worker threads. Any value yields byte-identical
-    // artifacts; it only changes wall-clock time.
-    let workers: usize = arg_value(args, "--workers")
-        .map(|w| w.parse().expect("--workers takes a thread count"))
-        .unwrap_or(1);
+    // Crawl-engine worker threads (any value yields byte-identical
+    // artifacts; it only changes wall-clock time) and the injected crash
+    // point (the first checkpoint lands after one iteration).
+    let (workers, kill_at) = (positive_arg(args, "--workers"), positive_arg(args, "--kill-at"));
+    let (workers, kill_at) = match (workers, kill_at) {
+        (Ok(workers), Ok(kill_at)) => (workers.unwrap_or(1), kill_at),
+        (Err(usage), _) | (_, Err(usage)) => {
+            eprintln!("{usage}");
+            return 2;
+        }
+    };
     // The optional live economy: orders, repricing, and bot inventory
     // running between crawl passes.
     let scenario = arg_value(args, "--scenario");
@@ -220,6 +234,27 @@ fn campaign_mode(args: &[String]) -> i32 {
             return 2;
         }
     };
+    let store_dir = arg_value(args, "--store-dir")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| acctrade::output::store_dir("quickstart"));
+    let out_dir = arg_value(args, "--out").map(PathBuf::from).unwrap_or_else(acctrade::output::dir);
+    let resume = args.iter().any(|a| a == "--resume");
+    // A resume rebuilds the economy its checkpoint names; a different
+    // --scenario on the resume command line is operator error, refused
+    // before the store is touched.
+    if let (true, Some(requested)) = (resume, scenario) {
+        let checkpoint = CampaignStore::read_checkpoint(&store_dir).ok().flatten();
+        if let Some(stored) = checkpoint.map(|cp| cp.economy_scenario) {
+            if stored != requested {
+                eprintln!(
+                    "campaign: store ran scenario {stored:?}, but --scenario {requested:?} \
+                     was requested"
+                );
+                return 2;
+            }
+        }
+    }
+    let config = campaign_config();
     let build_study = || {
         let mut study = Study::new(config).with_workers(workers);
         if let Some(cfg) = economy.clone() {
@@ -236,8 +271,7 @@ fn campaign_mode(args: &[String]) -> i32 {
     let ops = arg_value(args, "--ops").map(|addr| OpsCampaign::start(addr, &rec));
     let trace_out = arg_value(args, "--trace-out").map(PathBuf::from);
 
-    if let Some(k) = arg_value(args, "--kill-at") {
-        let k: usize = k.parse().expect("--kill-at takes an iteration count");
+    if let Some(k) = kill_at {
         eprintln!("campaign: running with an injected crash after {k} iterations ...");
         let outcome = build_study()
             .run_persisted_with_kill(&store_dir, k)
@@ -253,24 +287,12 @@ fn campaign_mode(args: &[String]) -> i32 {
         return 0;
     }
 
-    let report = if args.iter().any(|a| a == "--resume") {
+    let report = if resume {
         eprintln!("campaign: resuming interrupted store at {} ...", store_dir.display());
         let report =
             Study::resume_from_with_workers(config, &store_dir, workers).expect("resume");
         let recovery = report.recovery.as_ref().expect("resumed runs report recovery");
         eprintln!("campaign: {}", recovery.describe());
-        // The resumed scenario comes from the checkpoint; a mismatched
-        // --scenario on the resume command line is operator error.
-        if let Some(requested) = scenario {
-            let resumed = report.economy.as_ref().map(|e| e.scenario.as_str()).unwrap_or("");
-            if resumed != requested {
-                eprintln!(
-                    "campaign: store ran scenario {resumed:?}, but --scenario {requested:?} \
-                     was requested"
-                );
-                return 2;
-            }
-        }
         report
     } else {
         eprintln!("campaign: clean persisted run into {} ...", store_dir.display());
@@ -568,7 +590,32 @@ mod tests {
     }
 
     #[test]
-    fn unknown_scenario_is_a_usage_error() {
-        assert_eq!(run(&argv(&["--scenario", "bogus"])), 2);
+    fn usage_errors_exit_2() {
+        for args in [
+            &["--scenario", "bogus"][..],
+            &["--campaign", "--kill-at", "0"],
+            &["--campaign", "--kill-at", "x"],
+            &["--campaign", "--workers", "x"],
+        ] {
+            assert_eq!(run(&argv(args)), 2, "{args:?}");
+        }
+    }
+
+    #[test]
+    fn mismatched_resume_scenario_leaves_the_store_untouched() {
+        let dir = scratch("mismatch");
+        let (store, out) = (format!("{dir}/store"), format!("{dir}/out"));
+        assert_eq!(run(&argv(&["--campaign", "--store-dir", &store, "--kill-at", "1"])), 3);
+        let checkpoint = Path::new(&store).join("checkpoint.json");
+        let before = std::fs::read(&checkpoint).expect("the killed run left a checkpoint");
+        let refused = run(&argv(&[
+            "--campaign", "--store-dir", &store, "--resume", "--scenario", "all", "--out", &out,
+        ]));
+        assert_eq!(refused, 2, "the store ran no economy");
+        assert!(std::fs::read(&checkpoint).unwrap() == before, "the refused resume wrote");
+        // The store is still resumable.
+        let resumed = run(&argv(&["--campaign", "--store-dir", &store, "--resume", "--out", &out]));
+        assert_eq!(resumed, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

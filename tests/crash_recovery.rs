@@ -116,7 +116,7 @@ fn resume(dir: &Path) -> (StudyReport, telemetry::Recorder) {
     let ambient = telemetry::Recorder::new();
     let report = {
         let _scope = ambient.enter();
-        Study::resume_from(config(), dir).unwrap()
+        Study::resume_from_with_workers(config(), dir, 1).unwrap()
     };
     (report, ambient)
 }
@@ -141,7 +141,7 @@ fn kill_at_iteration_boundary_resumes_byte_identical() {
     // A mismatched seed is refused before any simulation is rebuilt.
     let mut wrong = config();
     wrong.seed ^= 1;
-    match Study::resume_from(wrong, &dir) {
+    match Study::resume_from_with_workers(wrong, &dir, 1) {
         Err(StoreError::Invalid(msg)) => assert!(msg.contains("seed"), "got {msg:?}"),
         other => panic!("expected Invalid seed mismatch, got {:?}", other.map(|_| "report")),
     }
@@ -154,7 +154,7 @@ fn kill_at_iteration_boundary_resumes_byte_identical() {
     assert_identical(&collect_artifacts(&report, &dir));
 
     // The finished store is marked complete and refuses a second resume.
-    match Study::resume_from(config(), &dir) {
+    match Study::resume_from_with_workers(config(), &dir, 1) {
         Err(StoreError::Invalid(msg)) => assert!(msg.contains("complete"), "got {msg:?}"),
         other => panic!("expected Invalid complete, got {:?}", other.map(|_| "report")),
     }
@@ -271,7 +271,7 @@ fn corrupt_committed_record_is_a_hard_error() {
     bytes[20] ^= 0xFF; // flip one byte inside a committed record
     std::fs::write(&first, bytes).unwrap();
 
-    match Study::resume_from(config(), &dir) {
+    match Study::resume_from_with_workers(config(), &dir, 1) {
         Err(StoreError::CommittedDataLost { committed, salvaged, .. }) => {
             assert!(salvaged < committed, "salvaged {salvaged} < committed {committed}");
         }

@@ -123,7 +123,7 @@ fn interrupted_and_resumed_run_matches_uninterrupted_run() {
     let resumed = {
         let rec = acctrade::telemetry::Recorder::new();
         let _scope = rec.enter();
-        Study::resume_from(config, &crash_dir).unwrap()
+        Study::resume_from_with_workers(config, &crash_dir, 1).unwrap()
     };
     assert!(resumed.recovery.is_some(), "resumed runs report their recovery");
 

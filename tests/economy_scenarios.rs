@@ -76,38 +76,47 @@ fn worker_counts_do_not_perturb_the_economy() {
 fn kill_and_resume_reproduce_the_identical_economy() {
     let (clean, clean_cp) = persisted_scenario_run(1, "clean");
 
-    let dir = scratch("crash");
-    let study = || {
-        Study::new(config())
-            .with_economy(EconomyConfig::scenario("all").expect("known scenario"))
-    };
-    {
-        let rec = telemetry::Recorder::new();
-        let _scope = rec.enter();
-        let killed = study()
-            .run_persisted_with_kill(&dir, 2)
-            .expect("killed economy run");
-        assert!(killed.is_none(), "the injected kill must fire");
-    }
-    let resumed = {
-        let rec = telemetry::Recorder::new();
-        let _scope = rec.enter();
-        Study::resume_from(config(), &dir).expect("resume rebuilds the economy")
-    };
-    assert!(resumed.recovery.is_some(), "resumed runs report recovery");
-    let resumed_cp = std::fs::read_to_string(dir.join("checkpoint.json")).expect("checkpoint");
-    let _ = std::fs::remove_dir_all(&dir);
+    // Two kill points: the boundary after iteration 2 on 1 worker, and a
+    // death after 5 shards of iteration 2's parallel crawl on 4 workers,
+    // whose rebuild replays two economy steps.
+    for (tag, workers, shard_kill) in [("crash", 1, None), ("shardkill", 4, Some((2, 5)))] {
+        let dir = scratch(tag);
+        let study = Study::new(config())
+            .with_workers(workers)
+            .with_economy(EconomyConfig::scenario("all").expect("known scenario"));
+        {
+            let rec = telemetry::Recorder::new();
+            let _scope = rec.enter();
+            let killed = match shard_kill {
+                None => study.run_persisted_with_kill(&dir, 2),
+                Some((iteration, shards)) => {
+                    study.run_persisted_with_shard_kill(&dir, iteration, shards)
+                }
+            };
+            assert!(killed.expect("killed economy run").is_none(), "{tag}: the kill must fire");
+        }
+        let resumed = {
+            let rec = telemetry::Recorder::new();
+            let _scope = rec.enter();
+            Study::resume_from_with_workers(config(), &dir, 1).expect("resume rebuilds the economy")
+        };
+        assert!(resumed.recovery.is_some(), "resumed runs report recovery");
+        let resumed_cp =
+            std::fs::read_to_string(dir.join("checkpoint.json")).expect("checkpoint");
+        let _ = std::fs::remove_dir_all(&dir);
 
-    assert_eq!(
-        byte_views(&clean),
-        byte_views(&resumed),
-        "crash/resume diverged from the uninterrupted run"
-    );
-    assert_eq!(clean_cp, resumed_cp, "final checkpoints differ across kill/resume");
-    assert_eq!(
-        stream_digest(&clean.economy_events),
-        stream_digest(&resumed.economy_events),
-    );
+        assert_eq!(
+            byte_views(&clean),
+            byte_views(&resumed),
+            "{tag}: crash/resume diverged from the uninterrupted run"
+        );
+        assert_eq!(clean_cp, resumed_cp, "{tag}: final checkpoints differ across kill/resume");
+        assert_eq!(
+            stream_digest(&clean.economy_events),
+            stream_digest(&resumed.economy_events),
+            "{tag}: economy stream digests differ"
+        );
+    }
 }
 
 #[test]
