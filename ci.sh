@@ -17,10 +17,10 @@
 #      example's own tests), then the e2ebench workspace's own tests
 #   3. clippy -D warnings (skipped gracefully when the toolchain ships
 #      without clippy)
-#   4. the parallel_crawl, httpd, economy, store and lint benches record
-#      into target/BENCH_report.json, which must pass validate_manifest's
-#      schema check and sit inside BENCH_budget.json — with a
-#      deliberately degraded budget proven to fail the gate
+#   4. the parallel_crawl, httpd, economy, store, lint and scam_pipeline
+#      benches record into target/BENCH_report.json, which must pass
+#      validate_manifest's schema check and sit inside BENCH_budget.json
+#      — with a deliberately degraded budget proven to fail the gate
 
 set -uo pipefail
 
@@ -73,9 +73,11 @@ fi
 rm -f target/BENCH_report.json
 echo
 echo "==> BENCH_REPORT_PATH=target/BENCH_report.json cargo bench --offline -p acctrade-bench" \
-     "--bench parallel_crawl --bench httpd --bench economy --bench store --bench lint"
+     "--bench parallel_crawl --bench httpd --bench economy --bench store --bench lint" \
+     "--bench scam_pipeline"
 BENCH_REPORT_PATH="$PWD/target/BENCH_report.json" cargo bench --offline -p acctrade-bench \
-    --bench parallel_crawl --bench httpd --bench economy --bench store --bench lint || fail=1
+    --bench parallel_crawl --bench httpd --bench economy --bench store --bench lint \
+    --bench scam_pipeline || fail=1
 run cargo run --release --offline -p acctrade-telemetry --bin validate_manifest -- \
     target/BENCH_report.json || fail=1
 run cargo run --release --offline -p acctrade-bench --bin bench_budget -- \

@@ -1,7 +1,8 @@
 //! HDBSCAN — the paper-pipeline clusterer, implemented from the original
 //! algorithm (Campello, Moulavi & Sander), not a heuristic approximation:
 //!
-//! 1. **core distances** — distance to the `min_pts`-th nearest neighbor;
+//! 1. **core distances** — distance to the `min_pts`-th nearest neighbor,
+//!    from one exact pass over all point pairs (O(n²), like step 3);
 //! 2. **mutual reachability** — `max(core(a), core(b), d(a, b))`;
 //! 3. **minimum spanning tree** over the mutual-reachability graph
 //!    (Prim's algorithm, O(n²) — the pipeline deduplicates posts first, so
@@ -17,11 +18,15 @@
 //! radius parameter — exactly why the paper used HDBSCAN over DBSCAN (see
 //! the ablation bench).
 
-use super::kdtree::{dist, KdTree};
+use super::kdtree::dist;
 use super::ClusterLabel;
 
 /// Run HDBSCAN with `min_pts` as both the density parameter (core
 /// distances) and the minimum cluster size.
+///
+/// The density parameter is clamped to at least 1 (a core distance is the
+/// distance to the nearest *other* point or further) and the minimum
+/// cluster size to at least 2, so `min_pts` 0 behaves as 1.
 pub fn hdbscan(points: &[Vec<f32>], min_pts: usize) -> Vec<ClusterLabel> {
     let n = points.len();
     let min_size = min_pts.max(2);
@@ -31,10 +36,42 @@ pub fn hdbscan(points: &[Vec<f32>], min_pts: usize) -> Vec<ClusterLabel> {
     if n <= min_size {
         return vec![ClusterLabel::Noise; n];
     }
-    let tree = KdTree::build(points);
-    let core: Vec<f64> = (0..n).map(|i| tree.kth_neighbor_distance(i, min_pts)).collect();
+    let core = core_distances(points, min_pts.max(1));
     let edges = mst_edges(points, &core);
     extract(&edges, n, min_size)
+}
+
+/// Each point's distance to its `k`-th nearest other point (`k >= 1`), or
+/// `f64::INFINITY` when fewer than `k` other points exist.
+///
+/// One pass over the point pairs keeps each point's `k` smallest distances,
+/// ascending. [`dist`] is symmetric bit for bit, so each pair is measured
+/// once for both of its points. A kd-tree would not help: at the
+/// pipeline's 48 reduced dimensions it prunes next to nothing.
+fn core_distances(points: &[Vec<f32>], k: usize) -> Vec<f64> {
+    let n = points.len();
+    let mut nearest = vec![f64::INFINITY; n * k];
+    for i in 0..n {
+        for j in i + 1..n {
+            let d = dist(&points[i], &points[j]);
+            keep_smallest(&mut nearest[i * k..(i + 1) * k], d);
+            keep_smallest(&mut nearest[j * k..(j + 1) * k], d);
+        }
+    }
+    nearest.chunks_exact(k).map(|ks| ks[k - 1]).collect()
+}
+
+/// Insert `d` into the ascending `ks` if it is below the largest entry,
+/// dropping that entry.
+fn keep_smallest(ks: &mut [f64], d: f64) {
+    let mut at = ks.len() - 1;
+    if d < ks[at] {
+        while at > 0 && ks[at - 1] > d {
+            ks[at] = ks[at - 1];
+            at -= 1;
+        }
+        ks[at] = d;
+    }
 }
 
 /// Prim's MST over the implicit complete mutual-reachability graph.
@@ -333,6 +370,45 @@ mod tests {
             }
         }
         (pts, truth)
+    }
+
+    /// The `k`-th smallest distance from `i` to the other points, by
+    /// sorting them all.
+    fn brute_core(points: &[Vec<f32>], i: usize, k: usize) -> f64 {
+        let mut ds: Vec<f64> = (0..points.len())
+            .filter(|&j| j != i)
+            .map(|j| dist(&points[i], &points[j]))
+            .collect();
+        ds.sort_by(f64::total_cmp);
+        ds.get(k - 1).copied().unwrap_or(f64::INFINITY)
+    }
+
+    #[test]
+    fn core_distances_match_brute_force() {
+        // Small integer coordinates give many tied distances; the last ten
+        // points repeat earlier ones exactly.
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let mut pts: Vec<Vec<f32>> = (0..110)
+            .map(|_| (0..3).map(|_| rng.random_range(0..4) as f32).collect())
+            .collect();
+        pts.extend(pts[..10].to_vec());
+        let n = pts.len();
+        for k in [1, 3, n - 1] {
+            let got = core_distances(&pts, k);
+            for (i, &d) in got.iter().enumerate() {
+                assert_eq!(d, brute_core(&pts, i, k), "i={i} k={k}");
+            }
+        }
+        // A point repeated k or more times has core distance zero.
+        assert_eq!(core_distances(&vec![vec![1.0f32, 1.0]; 10], 3), vec![0.0; 10]);
+    }
+
+    #[test]
+    fn core_distances_with_too_few_points() {
+        let pts = vec![vec![0.0f32, 0.0], vec![1.0, 0.0], vec![0.0, 2.0]];
+        assert_eq!(core_distances(&pts, 3), vec![f64::INFINITY; 3]);
+        assert_eq!(core_distances(&pts, 5), vec![f64::INFINITY; 3]);
+        assert_eq!(core_distances(&pts, 2), vec![2.0, 5.0f64.sqrt(), 5.0f64.sqrt()]);
     }
 
     #[test]

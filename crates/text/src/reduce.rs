@@ -5,6 +5,14 @@
 //! corpus (lexically separated template families) a linear projection
 //! preserves the cluster structure the density clusterer needs, and PCA is
 //! deterministic and dependency-free.
+//!
+//! The power iteration runs on the d×d scatter matrix S = CᵀC of the
+//! centred data C (n rows), built once. Streaming the n rows through every
+//! iteration instead costs iters·2·n·d multiply-adds; building S and
+//! iterating on it costs n·d²/2 + iters·d². In the pipeline (d = 192
+//! reduced to 48 components, about 2,800 iterations since most components
+//! hit the 60-iteration cap, n ≈ 800 distinct documents) that is about 7×
+//! fewer multiply-adds, and the iteration's inner loop vectorises.
 
 use foundation::rng::{Rng, RngExt, SeedableRng};
 use foundation::rng::ChaCha8Rng;
@@ -17,14 +25,47 @@ use foundation::rng::ChaCha8Rng;
 /// # Panics
 /// Panics if `data` is empty, rows are ragged, or `k` is zero.
 pub fn pca_reduce(data: &[Vec<f32>], k: usize, seed: u64) -> Vec<Vec<f32>> {
+    let (centered, k) = center(data, k);
+    let dim = centered[0].len();
+
+    // The scatter matrix S = CᵀC, upper triangle accumulated row by row
+    // (n·d²/2 multiply-adds), then mirrored.
+    let mut scatter = vec![0.0f64; dim * dim];
+    for row in &centered {
+        for (a, &ra) in row.iter().enumerate() {
+            for (s, &rb) in scatter[a * dim + a..(a + 1) * dim].iter_mut().zip(&row[a..]) {
+                *s += ra * rb;
+            }
+        }
+    }
+    for a in 0..dim {
+        for b in 0..a {
+            scatter[a * dim + b] = scatter[b * dim + a];
+        }
+    }
+
+    let components = principal_axes(dim, k, seed, |v| {
+        // S·v as the sum of S's rows weighted by v (S is symmetric), so the
+        // inner loop is a vectorisable axpy.
+        let mut w = vec![0.0f64; dim];
+        for (s_row, &va) in scatter.chunks_exact(dim).zip(v) {
+            for (wi, &s) in w.iter_mut().zip(s_row) {
+                *wi += va * s;
+            }
+        }
+        w
+    });
+    project(&centered, &components)
+}
+
+/// Centre `data` on its column means (in f64) and clamp `k` to the
+/// dimension.
+fn center(data: &[Vec<f32>], k: usize) -> (Vec<Vec<f64>>, usize) {
     assert!(!data.is_empty(), "no data");
     assert!(k > 0, "k must be positive");
     let dim = data[0].len();
     assert!(data.iter().all(|r| r.len() == dim), "ragged rows");
-    let k = k.min(dim);
     let n = data.len();
-
-    // Center the data.
     let mut mean = vec![0.0f64; dim];
     for row in data {
         for (m, &x) in mean.iter_mut().zip(row) {
@@ -34,25 +75,30 @@ pub fn pca_reduce(data: &[Vec<f32>], k: usize, seed: u64) -> Vec<Vec<f32>> {
     for m in &mut mean {
         *m /= n as f64;
     }
-    let centered: Vec<Vec<f64>> = data
+    let centered = data
         .iter()
         .map(|row| row.iter().zip(&mean).map(|(&x, m)| f64::from(x) - m).collect())
         .collect();
+    (centered, k.min(dim))
+}
 
+/// The top `k` eigenvectors of the symmetric `dim`×`dim` operator `mul`
+/// (which returns `CᵀC·v`), by power iteration with deflation: seeded
+/// start vectors, at most 60 iterations, stop when no coordinate moves
+/// by `1e-9`.
+fn principal_axes(
+    dim: usize,
+    k: usize,
+    seed: u64,
+    mul: impl Fn(&[f64]) -> Vec<f64>,
+) -> Vec<Vec<f64>> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x9CA0_0000_0000_000A);
     let mut components: Vec<Vec<f64>> = Vec::with_capacity(k);
 
     for _ in 0..k {
         let mut v = random_unit(&mut rng, dim);
         for _iter in 0..60 {
-            // w = C^T C v  computed as sum over rows without materializing C^T C.
-            let mut w = vec![0.0f64; dim];
-            for row in &centered {
-                let proj: f64 = row.iter().zip(&v).map(|(a, b)| a * b).sum();
-                for (wi, &ri) in w.iter_mut().zip(row) {
-                    *wi += proj * ri;
-                }
-            }
+            let mut w = mul(&v);
             // Deflate previously found components.
             for c in &components {
                 let d: f64 = w.iter().zip(c).map(|(a, b)| a * b).sum();
@@ -79,7 +125,11 @@ pub fn pca_reduce(data: &[Vec<f32>], k: usize, seed: u64) -> Vec<Vec<f32>> {
         }
         components.push(v);
     }
+    components
+}
 
+/// Project the centred rows onto `components`.
+fn project(centered: &[Vec<f64>], components: &[Vec<f64>]) -> Vec<Vec<f32>> {
     centered
         .iter()
         .map(|row| {
@@ -104,6 +154,46 @@ fn random_unit(rng: &mut impl Rng, dim: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::hdbscan;
+
+    /// The row-streaming product: `CᵀC·v` as `Σ (row·v)·row`, two passes
+    /// over the centred rows per iteration, never forming CᵀC.
+    fn reference_pca(data: &[Vec<f32>], k: usize, seed: u64) -> Vec<Vec<f32>> {
+        let (centered, k) = center(data, k);
+        let components = principal_axes(centered[0].len(), k, seed, |v| {
+            let mut w = vec![0.0f64; v.len()];
+            for row in &centered {
+                let proj: f64 = row.iter().zip(v).map(|(a, b)| a * b).sum();
+                for (wi, &ri) in w.iter_mut().zip(row) {
+                    *wi += proj * ri;
+                }
+            }
+            w
+        });
+        project(&centered, &components)
+    }
+
+    #[test]
+    fn scatter_matrix_matches_row_streaming_reference() {
+        // 300 points around 12 centres in 192-D, reduced to 48 as the
+        // scam-post pipeline does.
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let centres: Vec<Vec<f32>> = (0..12)
+            .map(|_| (0..192).map(|_| rng.random_range(-1.0f32..1.0)).collect())
+            .collect();
+        let data: Vec<Vec<f32>> = (0..300)
+            .map(|i| centres[i % 12].iter().map(|&c| c + rng.random_range(-0.2f32..0.2)).collect())
+            .collect();
+        let got = pca_reduce(&data, 48, 7);
+        let want = reference_pca(&data, 48, 7);
+        let scale = want.iter().flatten().fold(0.0f32, |m, x| m.max(x.abs()));
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            for (j, (a, b)) in g.iter().zip(w).enumerate() {
+                assert!((a - b).abs() <= 1e-5 * scale, "point {i} coord {j}: {a} vs {b}");
+            }
+        }
+        assert_eq!(hdbscan(&got, 3), hdbscan(&want, 3));
+    }
 
     /// Two tight blobs along the x-axis in 5-D.
     fn blobs() -> Vec<Vec<f32>> {

@@ -17,7 +17,7 @@ fn points_strategy() -> VecStrategy<VecStrategy<Range<f32>>> {
 prop_check! {
     /// Cluster labels are dense: ids form `0..k` with no gaps, and every
     /// non-noise label is in range.
-    fn cluster_labels_are_dense(points in points_strategy(), min_pts in 2usize..6) {
+    fn cluster_labels_are_dense(points in points_strategy(), min_pts in 0usize..6) {
         for labels in [hdbscan(&points, min_pts), dbscan(&points, ClusterParams { eps: 5.0, min_pts })] {
             assert_eq!(labels.len(), points.len());
             let k = n_clusters(&labels);
