@@ -20,7 +20,9 @@
 #   4. the parallel_crawl, httpd, economy, store, lint and scam_pipeline
 #      benches record into target/BENCH_report.json, which must pass
 #      validate_manifest's schema check and sit inside BENCH_budget.json
-#      — with a deliberately degraded budget proven to fail the gate
+#      (httpd records keep-alive req/s twice: plain, and with an ops plane
+#      mounted so the trace rings are on the request path) — with a
+#      deliberately degraded budget proven to fail the gate
 
 set -uo pipefail
 
@@ -89,7 +91,7 @@ if [ "$fail" -ne 0 ]; then
 fi
 
 # The gate must have teeth: a budget demanding impossible throughput
-# has to fail against the very same report.
+# (both httpd floors) has to fail against the very same report.
 sed 's/"min": 15000/"min": 99000000/' BENCH_budget.json > target/BENCH_budget_degraded.json
 echo
 echo "==> cargo run --release --offline -p acctrade-bench --bin bench_budget --" \

@@ -1,14 +1,17 @@
 //! Serving-layer benches: request-parser throughput through the
 //! standard harness, plus a keep-alive load run against a real
 //! loopback `HttpServer` recording req/s and latency percentiles into
-//! `BENCH_report.json` (`httpd/keepalive_throughput`).
+//! `BENCH_report.json` (`httpd/keepalive_throughput`). The load runs a
+//! second time with an ops plane mounted, so every request is also
+//! phase-timed and traced into the per-thread trace rings
+//! (`httpd/keepalive_throughput_ops`).
 //!
 //! Like every `foundation::bench` bench this runs in two modes: quick
 //! (what `cargo test` sees — a handful of requests, smoke only) and
 //! full (`cargo bench -- --bench` via `ci.sh` — enough volume for
 //! stable percentiles).
 
-use acctrade_httpd::{HostTable, HttpServer, RequestParser, ServerConfig, TimeSource};
+use acctrade_httpd::{HostTable, HttpServer, OpsPlane, RequestParser, ServerConfig, TimeSource};
 use acctrade_net::server::Router;
 use foundation::bench::{criterion_group, Criterion};
 use foundation::json::Json;
@@ -44,8 +47,9 @@ fn bench_parser(c: &mut Criterion) {
 
 criterion_group!(benches, bench_parser);
 
-/// The benched server: a static small-body route, 4 workers.
-fn bench_server() -> HttpServer {
+/// The benched server: a static small-body route, 4 workers, and the
+/// given ops plane.
+fn bench_server(ops: Option<OpsPlane>) -> HttpServer {
     let site = Router::new().route("/offers", |_req, _ctx| {
         acctrade_net::http::Response::ok()
             .with_html("<html><body><ul><li>offer</li></ul></body></html>")
@@ -58,7 +62,7 @@ fn bench_server() -> HttpServer {
         read_timeout: Duration::from_secs(5),
         write_timeout: Duration::from_secs(5),
         time: TimeSource::Wall,
-        ..ServerConfig::default()
+        ops,
     };
     HttpServer::bind("127.0.0.1:0", hosts, config).expect("bind bench server")
 }
@@ -118,10 +122,11 @@ fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
 }
 
 /// The keep-alive load run: `conns` concurrent connections, `per_conn`
-/// requests each; merges `httpd/keepalive_throughput` into the report.
-fn record_keepalive_throughput(full: bool) {
+/// requests each, against a server mounting `ops`; merges entry `id`
+/// into the report.
+fn record_keepalive_throughput(full: bool, id: &str, ops: Option<OpsPlane>) {
     let (conns, per_conn) = if full { (4, 25_000) } else { (2, 50) };
-    let server = bench_server();
+    let server = bench_server(ops);
     let addr = server.addr();
 
     let started = Instant::now();
@@ -142,7 +147,7 @@ fn record_keepalive_throughput(full: bool) {
     let snap = stats.snapshot();
     assert_eq!(snap.requests, total as u64, "server answered every request exactly once");
     eprintln!(
-        "[httpd] keep-alive: {total} requests over {conns} conns in {:.2}s → \
+        "[{id}] keep-alive: {total} requests over {conns} conns in {:.2}s → \
          {req_per_s:.0} req/s, p50 {p50:.0} µs, p99 {p99:.0} µs",
         elapsed.as_secs_f64()
     );
@@ -165,11 +170,10 @@ fn record_keepalive_throughput(full: bool) {
         },
         Err(_) => Vec::new(),
     };
-    let id = "httpd/keepalive_throughput".to_string();
     let value = Json::Obj(fields);
     match entries.iter_mut().find(|(k, _)| *k == id) {
         Some(slot) => slot.1 = value,
-        None => entries.push((id, value)),
+        None => entries.push((id.to_string(), value)),
     }
     if let Err(err) = std::fs::write(&path, Json::Obj(entries).render_pretty() + "\n") {
         eprintln!("[bench] could not write {path}: {err}");
@@ -179,5 +183,6 @@ fn record_keepalive_throughput(full: bool) {
 fn main() {
     benches();
     let full = std::env::args().any(|a| a == "--bench");
-    record_keepalive_throughput(full);
+    record_keepalive_throughput(full, "httpd/keepalive_throughput", None);
+    record_keepalive_throughput(full, "httpd/keepalive_throughput_ops", Some(OpsPlane::new()));
 }

@@ -46,5 +46,5 @@ pub use persist::{ApiOutcomeRecord, CampaignCheckpoint, CampaignStore, ShardCurs
 pub use record::{Dataset, OfferRecord, PostRecord, ProfileRecord, UndergroundRecord};
 pub use resolve::ProfileResolver;
 pub use schedule::{CampaignProgress, CrawlCampaign, IterationSnapshot};
-pub use steal::{IterationRun, ShardJob, ShardOutcome, WorkerReport};
+pub use steal::{IterationRun, ShardJob, ShardOutcome};
 pub use underground::UndergroundCollector;

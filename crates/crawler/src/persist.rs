@@ -31,10 +31,7 @@ use foundation::json_codec_struct;
 use std::io;
 use std::path::Path;
 use store::checkpoint::{read_if_exists, tmp_path, write_atomic};
-use store::{
-    compact, CompactionReport, Disposition, Record, RecoveryReport, StoreError, WalOptions,
-    Writer, WriterStats,
-};
+use store::{Record, RecoveryReport, StoreError, WalOptions, Writer, WriterStats};
 use telemetry::TelemetrySnapshot;
 
 /// WAL record kind: a marketplace offer ([`OfferRecord`]).
@@ -418,32 +415,6 @@ pub(crate) fn decode_streams(records: &[Record]) -> Result<WalReplay, StoreError
     Ok(replay)
 }
 
-/// Offline compaction of a campaign store: keep, per
-/// `(marketplace, offer_url)`, only the offer version from the highest
-/// crawl iteration; pass every other record kind through untouched.
-// conformance: allow(pub-hygiene) — operational compaction entry point, exercised by in-file tests
-pub fn compact_campaign_store(dir: &Path) -> Result<CompactionReport, StoreError> {
-    let opts = match CampaignStore::read_checkpoint(dir)? {
-        Some(cp) => WalOptions { segment_max_bytes: cp.segment_max_bytes },
-        None => WalOptions::default(),
-    };
-    compact(dir, opts, |kind, payload| {
-        if kind != KIND_OFFER {
-            return Disposition::Keep;
-        }
-        let parsed = std::str::from_utf8(payload)
-            .ok()
-            .and_then(|t| json::from_str::<OfferRecord>(t).ok());
-        match parsed {
-            Some(o) => Disposition::Dedup {
-                key: format!("{}|{}", o.marketplace, o.offer_url),
-                version: o.iteration as u64,
-            },
-            None => Disposition::Keep,
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,41 +546,6 @@ mod tests {
         let s2 = CampaignStore::create(&dir).unwrap();
         assert_eq!(s2.total_records(), 0);
         assert!(CampaignStore::read_checkpoint(&dir).unwrap().is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compaction_keeps_latest_offer_version() {
-        let dir = scratch("compact");
-        let mut s = CampaignStore::create(&dir).unwrap();
-        // Same logical offer re-observed across three iterations, plus an
-        // unrelated post record.
-        for it in 0..3usize {
-            s.append_offer(&offer("http://fameswap.com/o/1", it)).unwrap();
-        }
-        s.append_post(&PostRecord {
-            platform: "X".into(),
-            handle: "h".into(),
-            author_id: 1,
-            post_id: 2,
-            text: "hello".into(),
-            created_unix: 0,
-            likes: 0,
-            views: 0,
-        })
-        .unwrap();
-        s.sync().unwrap();
-        drop(s);
-
-        let report = compact_campaign_store(&dir).unwrap();
-        assert_eq!(report.records_in, 4);
-        assert_eq!(report.records_out, 2);
-        assert_eq!(report.records_deduped, 2);
-
-        let (replay, _) = CampaignStore::load(&dir).unwrap();
-        assert_eq!(replay.dataset.offers.len(), 1);
-        assert_eq!(replay.dataset.offers[0].iteration, 2);
-        assert_eq!(replay.dataset.posts.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

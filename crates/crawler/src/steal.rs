@@ -25,11 +25,10 @@
 //!    fixed shard order ([`acctrade_net::sim::SimNet::absorb_lane`]);
 //!    records sort by [`crate::merge::merge_key`], never arrival order.
 //!
-//! Steal/completion order therefore only shows up in the per-worker
-//! [`WorkerReport`] diagnostics, which are deliberately kept out of the
-//! deterministic artifacts. Workers record only commutative counters and
-//! histograms, into the caller's recorder; they open no spans, whose
-//! start ordinals would follow the schedule.
+//! Steal/completion order therefore shows up nowhere in the results.
+//! Workers record only commutative counters and histograms, into the
+//! caller's recorder; they open no spans, whose start ordinals would
+//! follow the schedule.
 //!
 //! ## Why this stays polite
 //!
@@ -84,26 +83,6 @@ pub struct ShardOutcome {
     pub stats: CrawlStats,
     /// The shard's lane (folded into the fabric by the campaign).
     pub lane: Arc<Lane>,
-    /// Which worker executed the shard (diagnostic; schedule-dependent).
-    pub worker: usize,
-    /// Whether the shard was stolen rather than run by its home worker
-    /// (diagnostic; schedule-dependent).
-    pub stolen: bool,
-}
-
-/// Per-worker execution diagnostics. Schedule-dependent by nature, so
-/// these are reported to the caller but never merged into the
-/// deterministic run manifest.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WorkerReport {
-    /// Worker index.
-    pub worker: usize,
-    /// Shards this worker executed.
-    pub shards_run: usize,
-    /// Of those, how many it stole from another worker's deque.
-    pub shards_stolen: usize,
-    /// Total virtual time spent inside shards (µs).
-    pub busy_virtual_us: u64,
 }
 
 /// Everything one parallel iteration produced.
@@ -114,8 +93,6 @@ pub struct IterationRun {
     /// Shard outcomes sorted by stable shard index. When `killed`, only
     /// the shards completed before the kill are present.
     pub outcomes: Vec<ShardOutcome>,
-    /// Per-worker diagnostics (schedule-dependent).
-    pub reports: Vec<WorkerReport>,
     /// Total shards planned for the iteration.
     pub shards_total: usize,
     /// Whether a `kill_after_shards` hook fired mid-iteration.
@@ -186,7 +163,6 @@ pub fn run_iteration(
     }
 
     let outcomes: Mutex<Vec<ShardOutcome>> = Mutex::new(Vec::new());
-    let reports: Mutex<Vec<WorkerReport>> = Mutex::new(Vec::new());
     let completions = AtomicUsize::new(0);
     let killed = AtomicBool::new(false);
     let ambient = telemetry::recorder();
@@ -195,7 +171,6 @@ pub fn run_iteration(
         for w in 0..workers {
             let deques = &deques;
             let outcomes = &outcomes;
-            let reports = &reports;
             let completions = &completions;
             let killed = &killed;
             let ambient = ambient.clone();
@@ -204,19 +179,12 @@ pub fn run_iteration(
                 // from workers, so the shared ambient recorder stays
                 // independent of the schedule.
                 let _scope = ambient.enter();
-                let mut report = WorkerReport { worker: w, ..WorkerReport::default() };
                 while !killed.load(Ordering::Acquire) {
-                    let (job, stolen) = match next_job(deques, w) {
-                        Some(pair) => pair,
-                        None => break,
-                    };
+                    let Some(job) = next_job(deques, w) else { break };
                     let shard_client =
                         client.fork_for_shard(Arc::clone(&job.lane), job.host_share);
                     let mut crawler = MarketplaceCrawler::new(&shard_client, job.market);
                     let (records, stats) = crawler.crawl_chain(&job.seed_url, iteration);
-                    report.shards_run += 1;
-                    report.shards_stolen += usize::from(stolen);
-                    report.busy_virtual_us += job.lane.now_us() - job.lane.start_us();
                     outcomes.lock().push(ShardOutcome {
                         index: job.index,
                         market: job.market,
@@ -224,46 +192,26 @@ pub fn run_iteration(
                         records,
                         stats,
                         lane: job.lane,
-                        worker: w,
-                        stolen,
                     });
                     let done = completions.fetch_add(1, Ordering::AcqRel) + 1;
                     if kill_after_shards.is_some_and(|k| done >= k) {
                         killed.store(true, Ordering::Release);
                     }
                 }
-                reports.lock().push(report);
             });
         }
     });
 
     let mut outcomes = outcomes.into_inner();
     outcomes.sort_by_key(|o| o.index);
-    let mut reports = reports.into_inner();
-    reports.sort_by_key(|r| r.worker);
-    IterationRun {
-        discovery,
-        outcomes,
-        reports,
-        shards_total,
-        killed: killed.load(Ordering::Acquire),
-    }
+    IterationRun { discovery, outcomes, shards_total, killed: killed.load(Ordering::Acquire) }
 }
 
 /// Pop from the worker's own deque (LIFO), else steal FIFO from the
-/// nearest non-empty neighbour. Returns the job and whether it was
-/// stolen.
-fn next_job(deques: &[StealDeque<ShardJob>], w: usize) -> Option<(ShardJob, bool)> {
-    if let Some(job) = deques[w].pop() {
-        return Some((job, false));
-    }
+/// nearest non-empty neighbour.
+fn next_job(deques: &[StealDeque<ShardJob>], w: usize) -> Option<ShardJob> {
     let n = deques.len();
-    for off in 1..n {
-        if let Some(job) = deques[(w + off) % n].steal() {
-            return Some((job, true));
-        }
-    }
-    None
+    deques[w].pop().or_else(|| (1..n).find_map(|off| deques[(w + off) % n].steal()))
 }
 
 #[cfg(test)]
@@ -289,10 +237,6 @@ mod tests {
         let mut indexes: Vec<usize> = run.outcomes.iter().map(|o| o.index).collect();
         indexes.dedup();
         assert_eq!(indexes, (0..run.shards_total).collect::<Vec<_>>());
-        assert_eq!(
-            run.reports.iter().map(|r| r.shards_run).sum::<usize>(),
-            run.shards_total,
-        );
     }
 
     #[test]

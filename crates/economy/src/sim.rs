@@ -161,11 +161,6 @@ impl EconomySim {
         self.now_unix
     }
 
-    /// Live buyer population size.
-    pub fn buyer_count(&self) -> usize {
-        self.buyers.len()
-    }
-
     /// One-time setup at campaign start (`t0`): register bot sellers
     /// with their marketplaces and seed every engine's first scheduled
     /// action. Runs in the study's sequential section, both on live runs

@@ -115,11 +115,6 @@ impl Status {
         })
     }
 
-    /// `true` for 2xx.
-    pub fn is_success(self) -> bool {
-        (200..300).contains(&self.code())
-    }
-
     /// `true` for 3xx.
     pub fn is_redirect(self) -> bool {
         (300..400).contains(&self.code())

@@ -10,7 +10,6 @@
 //! * circuits hide client identity: the fabric logs the exit relay, not the
 //!   client, as the requester.
 
-use crate::latency::LatencyModel;
 use foundation::rng::{Rng, RngExt};
 
 /// One relay in the simulated Tor directory.
@@ -120,19 +119,6 @@ impl TorCircuit {
     /// crossed twice (request + response).
     pub fn overlay_latency_us(&self) -> u64 {
         2 * self.hops.iter().map(|r| r.hop_latency_us).sum::<u64>()
-    }
-
-    /// Full latency model for a request through this circuit to an onion
-    /// service: overlay cost plus the service's own long-tailed model.
-    pub fn request_latency_model(&self) -> LatencyModel {
-        let onion = LatencyModel::onion();
-        match onion {
-            LatencyModel::LongTail { base_us, tail_mean_us } => LatencyModel::LongTail {
-                base_us: base_us + self.overlay_latency_us(),
-                tail_mean_us,
-            },
-            other => other,
-        }
     }
 }
 

@@ -109,12 +109,6 @@ impl Url {
         Url::build(Scheme::Http, host, path)
     }
 
-    /// Return a copy with the given query string (without leading `?`).
-    pub fn with_query(mut self, query: &str) -> Url {
-        self.query = query.to_string();
-        self
-    }
-
     /// Append one `key=value` pair to the query string. Values are
     /// percent-encoded minimally (space, `&`, `=`, `%`, `?`, `#`).
     pub fn with_param(mut self, key: &str, value: &str) -> Url {

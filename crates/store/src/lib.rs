@@ -3,8 +3,8 @@
 //! # acctrade-store
 //!
 //! Durable crawl dataset store for the `acctrade` workspace — an
-//! append-only, segmented, CRC-framed write-ahead log with checkpoints,
-//! compaction, and crash recovery. Zero-dependency (std + `foundation`).
+//! append-only, segmented, CRC-framed write-ahead log with checkpoints
+//! and crash recovery. Zero-dependency (std + `foundation`).
 //!
 //! The reproduced paper's core contribution is its *dataset*: 38k
 //! listings and 205k posts accumulated over a five-month crawl campaign
@@ -22,9 +22,6 @@
 //!   tails instead of failing, rolls back uncommitted records, and
 //!   reports exactly what was salvaged;
 //! * [`manifest`] — the advisory `store_manifest.json`;
-//! * [`snapshot`] — offline compaction keeping the latest version per
-//!   logical key (offers deduped by `(marketplace, offer_url)` in the
-//!   crawler's persist layer);
 //! * [`checkpoint`] — atomic small-file replace for the checkpoints the
 //!   pipeline layers on top.
 //!
@@ -42,13 +39,11 @@ pub mod crc;
 pub mod frame;
 pub mod manifest;
 pub mod segment;
-pub mod snapshot;
 pub mod wal;
 
 pub use crc::crc32;
 pub use frame::{decode_frame, encode_frame, Decoded};
 pub use manifest::{SegmentEntry, StoreManifest, MANIFEST_FILE};
-pub use snapshot::{compact, CompactionReport, Disposition};
 pub use wal::{
     replay, AppendReceipt, Record, RecoveryReport, StoreError, WalOptions, Writer, WriterStats,
     DEFAULT_SEGMENT_MAX_BYTES,

@@ -131,7 +131,8 @@ pub enum StoreError {
     /// Underlying I/O failure.
     Io(io::Error),
     /// The requested operation is not valid for the store's current
-    /// state (e.g. compacting a store with a torn tail).
+    /// state (e.g. resuming a store whose checkpoint marks the study
+    /// complete).
     Invalid(String),
     /// Recovery could not reconstruct every committed record: corruption
     /// struck *inside* the committed prefix. The report says exactly how
@@ -337,7 +338,7 @@ impl Writer {
     }
 
     /// The manifest describing the current segment chain.
-    pub fn manifest(&self) -> StoreManifest {
+    fn manifest(&self) -> StoreManifest {
         let mut segments = self.completed.clone();
         segments.push(SegmentEntry {
             file: segment_file_name(self.seg_index),
@@ -360,11 +361,6 @@ impl Writer {
     /// Total records in the log (next sequence number).
     pub fn total_records(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Number of segments in the chain (completed + active).
-    pub fn segment_count(&self) -> u64 {
-        self.seg_index + 1
     }
 
     /// The store directory.
@@ -575,8 +571,9 @@ mod tests {
             assert_eq!(r.seq, i);
         }
         w.sync().unwrap();
-        assert!(w.segment_count() > 1, "small cap must force rotation");
-        assert_eq!(w.stats().segments_rotated, w.segment_count() - 1);
+        let segments = w.manifest().segments.len() as u64;
+        assert!(segments > 1, "small cap must force rotation");
+        assert_eq!(w.stats().segments_rotated, segments - 1);
         let (records, report) = replay(&dir).unwrap();
         assert_eq!(records.len(), 40);
         assert_eq!(report.torn_tails_truncated, 0);

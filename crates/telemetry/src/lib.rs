@@ -22,7 +22,7 @@
 //! * [`manifest`] — the [`RunManifest`] exporter behind
 //!   `TELEMETRY_report.json`: seed, config digest, per-stage timings,
 //!   per-marketplace crawl stats, per-platform API outcome tallies;
-//! * [`trace`] — per-thread lock-free trace rings drained into Chrome
+//! * [`trace`] — per-thread bounded trace rings drained into Chrome
 //!   `trace_event` JSON (`TRACE_report.json`), wall view for operators
 //!   plus a deterministic virtual-time variant;
 //! * [`prom`] — Prometheus text exposition over live registry state

@@ -1,15 +1,13 @@
-//! Structured tracing: per-thread lock-free rings drained into Chrome
+//! Structured tracing: per-thread rings drained into Chrome
 //! `trace_event` JSON.
 //!
 //! The live ops plane needs span-level provenance *while a campaign
 //! runs*, without perturbing the hot paths it observes. A [`Tracer`]
-//! hands every recording thread its own bounded single-producer /
-//! single-consumer ring ([`TraceRing`]): the owning thread pushes
-//! [`TraceRecord`]s with two atomic stores and no locks, and the drainer
-//! (the `/tracez` handler, or the end-of-run exporter) consumes them
-//! under a drain lock that producers never touch. A full ring sheds the
-//! newest record and counts it — tracing degrades, the traced system
-//! does not.
+//! hands every recording thread its own bounded ring behind its own
+//! lock, so producers never contend with each other; the drainer (the
+//! `/tracez` handler, or the end-of-run exporter) empties each ring in
+//! one swap. A full ring sheds the newest record and counts it —
+//! tracing degrades, the traced system does not.
 //!
 //! Every record is stamped with **both** clocks:
 //!
@@ -24,16 +22,15 @@
 //!
 //! [`validate_trace`] is the CI-side schema check for both variants.
 
-// conformance: atomics(relaxed, acquire, release) — slot seq uses acquire/release pairs; counters and cursors are relaxed
+// conformance: atomics(relaxed) — tracer ids, shed/evicted counters and the slow threshold are independent values; the locks order the records
 
 use crate::manifest::RunManifest;
 use foundation::json::Json;
 use foundation::sync::Mutex;
 use std::cell::RefCell;
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 /// Trace schema identifier (top-level `schema` key of both variants).
@@ -42,14 +39,14 @@ pub const TRACE_SCHEMA: &str = "acctrade-trace/v1";
 /// Default trace file name.
 pub const TRACE_FILE: &str = "TRACE_report.json";
 
-/// Default per-thread ring capacity (records).
-pub(crate) const DEFAULT_RING_CAPACITY: usize = 8192;
+/// Per-thread ring capacity (records).
+const RING_CAPACITY: usize = 8192;
 
-/// Default retained-record cap across all drained rings.
-pub(crate) const DEFAULT_RETAIN_CAPACITY: usize = 65_536;
+/// Retained-record cap across all drained rings.
+const RETAIN_CAPACITY: usize = 65_536;
 
 /// Default slow-span threshold (wall µs) for the `/tracez` slow log.
-pub(crate) const DEFAULT_SLOW_THRESHOLD_US: u64 = 10_000;
+const DEFAULT_SLOW_THRESHOLD_US: u64 = 10_000;
 
 /// Category of a trace record (Chrome's `cat` field).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,93 +179,24 @@ impl TraceRecord {
     }
 }
 
-/// One slot of a [`TraceRing`]: a sequence gate plus the payload cell.
-struct Slot {
-    /// Vyukov-style sequence: `== pos` means writable by the producer,
-    /// `== pos + 1` means readable by the consumer.
-    seq: AtomicU64,
-    value: UnsafeCell<Option<TraceRecord>>,
-}
-
-/// A bounded single-producer / single-consumer ring of trace records.
-///
-/// The producer is structurally unique: each ring is owned by exactly
-/// one thread through the tracer's thread-local registry, and only that
-/// thread calls [`TraceRing::push`]. The consumer side is serialized by
-/// the tracer's drain lock. Under that discipline the per-slot sequence
-/// protocol makes every push two atomic ops and zero locks.
-pub struct TraceRing {
-    slots: Box<[Slot]>,
-    /// Next position the producer writes (monotonic, mod capacity).
-    tail: AtomicU64,
-    /// Next position the consumer reads (monotonic, mod capacity).
-    head: AtomicU64,
+/// One thread's bounded ring of trace records. Only the owning thread
+/// pushes, so its lock is contended only while a drain empties it.
+#[derive(Default)]
+struct TraceRing {
+    records: Mutex<VecDeque<TraceRecord>>,
     /// Records shed because the ring was full.
     dropped: AtomicU64,
 }
 
-// SAFETY: the only non-Sync member is the UnsafeCell payload, and the
-// sequence protocol guarantees exclusive access — a slot is touched by
-// the producer only while `seq == pos` and by the consumer only while
-// `seq == pos + 1`, with the acquire/release pair ordering the payload
-// write before the flag flip.
-unsafe impl Sync for TraceRing {}
-// SAFETY: sending the ring transfers only atomics and heap-owned slots;
-// no thread-affine state exists, so Send follows from Sync plus owned data.
-unsafe impl Send for TraceRing {}
-
 impl TraceRing {
-    /// A ring holding up to `capacity` records (rounded up to 2).
-    pub fn with_capacity(capacity: usize) -> TraceRing {
-        let capacity = capacity.max(2);
-        let slots: Vec<Slot> = (0..capacity)
-            .map(|i| Slot { seq: AtomicU64::new(i as u64), value: UnsafeCell::new(None) })
-            .collect();
-        TraceRing {
-            slots: slots.into_boxed_slice(),
-            tail: AtomicU64::new(0),
-            head: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Producer side: push one record, shedding (and counting) it when
-    /// the ring is full. Must only be called by the owning thread — the
-    /// tracer enforces this by handing each thread its own ring.
+    /// Push one record, shedding (and counting) it when the ring is full.
     fn push(&self, record: TraceRecord) {
-        let pos = self.tail.load(Ordering::Relaxed);
-        let slot = &self.slots[(pos % self.slots.len() as u64) as usize];
-        if slot.seq.load(Ordering::Acquire) != pos {
-            // The consumer has not freed this slot yet: ring full.
+        let mut records = self.records.lock();
+        if records.len() < RING_CAPACITY {
+            records.push_back(record);
+        } else {
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
         }
-        // SAFETY: `seq == pos` grants the producer exclusive slot access
-        // (see the Sync impl note); only the owning thread produces.
-        unsafe { *slot.value.get() = Some(record) };
-        slot.seq.store(pos + 1, Ordering::Release);
-        self.tail.store(pos + 1, Ordering::Release);
-    }
-
-    /// Consumer side: pop the oldest record, if any. Callers serialize
-    /// through the tracer's drain lock.
-    fn pop(&self) -> Option<TraceRecord> {
-        let pos = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(pos % self.slots.len() as u64) as usize];
-        if slot.seq.load(Ordering::Acquire) != pos + 1 {
-            return None; // empty
-        }
-        // SAFETY: `seq == pos + 1` grants the consumer exclusive slot
-        // access; consumers are serialized by the drain lock.
-        let record = unsafe { (*slot.value.get()).take() };
-        slot.seq.store(pos + self.slots.len() as u64, Ordering::Release);
-        self.head.store(pos + 1, Ordering::Release);
-        record
-    }
-
-    /// Records shed because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
     }
 }
 
@@ -297,12 +225,10 @@ pub struct SlowEntry {
 struct TracerInner {
     id: u64,
     epoch: Instant,
-    ring_capacity: usize,
     /// Registered rings in registration order (index = tid).
     rings: Mutex<Vec<Arc<TraceRing>>>,
-    /// Drained records, oldest first, bounded by `retain_capacity`.
+    /// Drained records, oldest first, bounded by `RETAIN_CAPACITY`.
     retained: Mutex<VecDeque<RetainedRecord>>,
-    retain_capacity: usize,
     /// Records evicted from the retained buffer (not ring sheds).
     evicted: AtomicU64,
     slow_threshold_us: AtomicU64,
@@ -324,28 +250,23 @@ impl Default for Tracer {
 
 thread_local! {
     /// (tracer id, this thread's ring) pairs; linear scan — a thread
-    /// rarely records into more than one tracer.
-    static THREAD_RINGS: RefCell<Vec<(u64, Arc<TraceRing>)>> = const { RefCell::new(Vec::new()) };
+    /// rarely records into more than one tracer. The tracer owns its
+    /// rings, so a dropped tracer leaves only a dead entry here, pruned
+    /// at this thread's next registration.
+    static THREAD_RINGS: RefCell<Vec<(u64, Weak<TraceRing>)>> = const { RefCell::new(Vec::new()) };
 }
 
 static NEXT_TRACER_ID: AtomicUsize = AtomicUsize::new(1);
 
 impl Tracer {
-    /// A tracer with default ring and retention capacities.
+    /// A tracer with empty rings and an empty slow log.
     pub fn new() -> Tracer {
-        Tracer::with_capacities(DEFAULT_RING_CAPACITY, DEFAULT_RETAIN_CAPACITY)
-    }
-
-    /// A tracer with explicit per-thread ring and retained-buffer sizes.
-    pub fn with_capacities(ring_capacity: usize, retain_capacity: usize) -> Tracer {
         Tracer {
             inner: Arc::new(TracerInner {
                 id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed) as u64,
                 epoch: Instant::now(),
-                ring_capacity: ring_capacity.max(2),
                 rings: Mutex::new(Vec::new()),
                 retained: Mutex::new(VecDeque::new()),
-                retain_capacity: retain_capacity.max(16),
                 evicted: AtomicU64::new(0),
                 slow_threshold_us: AtomicU64::new(DEFAULT_SLOW_THRESHOLD_US),
                 slow: Mutex::new(VecDeque::new()),
@@ -369,18 +290,19 @@ impl Tracer {
     }
 
     /// Record into the calling thread's ring (registering the thread
-    /// with this tracer on first use). Lock-free after registration.
+    /// with this tracer on first use).
     pub fn record(&self, record: TraceRecord) {
         THREAD_RINGS.with(|cell| {
             let mut rings = cell.borrow_mut();
-            if let Some((_, ring)) = rings.iter().find(|(id, _)| *id == self.inner.id) {
-                ring.push(record);
-                return;
-            }
-            let ring = Arc::new(TraceRing::with_capacity(self.inner.ring_capacity));
-            self.inner.rings.lock().push(Arc::clone(&ring));
+            let mine = rings.iter().find(|(id, _)| *id == self.inner.id);
+            let ring = mine.and_then(|(_, ring)| ring.upgrade()).unwrap_or_else(|| {
+                rings.retain(|(_, ring)| ring.strong_count() > 0);
+                let ring = Arc::new(TraceRing::default());
+                self.inner.rings.lock().push(Arc::clone(&ring));
+                rings.push((self.inner.id, Arc::downgrade(&ring)));
+                ring
+            });
             ring.push(record);
-            rings.push((self.inner.id, ring));
         });
     }
 
@@ -447,8 +369,8 @@ impl Tracer {
         let rings: Vec<Arc<TraceRing>> = self.inner.rings.lock().clone();
         let mut retained = self.inner.retained.lock();
         for (tid, ring) in rings.iter().enumerate() {
-            while let Some(record) = ring.pop() {
-                if retained.len() >= self.inner.retain_capacity {
+            for record in std::mem::take(&mut *ring.records.lock()) {
+                if retained.len() >= RETAIN_CAPACITY {
                     retained.pop_front();
                     self.inner.evicted.fetch_add(1, Ordering::Relaxed);
                 }
@@ -478,7 +400,7 @@ impl Tracer {
     /// buffer — how much the wall view is missing.
     pub fn dropped(&self) -> u64 {
         let rings = self.inner.rings.lock();
-        let shed: u64 = rings.iter().map(|r| r.dropped()).sum();
+        let shed: u64 = rings.iter().map(|r| r.dropped.load(Ordering::Relaxed)).sum();
         shed + self.inner.evicted.load(Ordering::Relaxed)
     }
 
@@ -621,57 +543,51 @@ mod tests {
         }
     }
 
+    fn instant(name: &str) -> TraceRecord {
+        TraceRecord::Instant {
+            name: name.into(),
+            cat: TraceCat::Event,
+            wall_us: 0,
+            virtual_us: 0,
+            detail: String::new(),
+        }
+    }
+
+    fn names(records: &[RetainedRecord]) -> Vec<&str> {
+        records.iter().map(|r| r.record.name()).collect()
+    }
+
     #[test]
     fn ring_push_pop_fifo() {
-        let ring = TraceRing::with_capacity(4);
-        for i in 0..3u64 {
-            ring.push(TraceRecord::Instant {
-                name: format!("e{i}"),
-                cat: TraceCat::Event,
-                wall_us: i,
-                virtual_us: i,
-                detail: String::new(),
-            });
+        let tracer = Tracer::new();
+        for i in 0..3 {
+            tracer.record(instant(&format!("e{i}")));
         }
-        let mut names = Vec::new();
-        while let Some(r) = ring.pop() {
-            names.push(r.name().to_string());
-        }
-        assert_eq!(names, ["e0", "e1", "e2"]);
-        assert_eq!(ring.dropped(), 0);
+        assert_eq!(names(&tracer.recent(10)), ["e0", "e1", "e2"]);
+        assert_eq!(tracer.dropped(), 0);
     }
 
     #[test]
     fn full_ring_sheds_and_counts() {
-        let ring = TraceRing::with_capacity(2);
-        for i in 0..5u64 {
-            ring.push(TraceRecord::Instant {
-                name: format!("e{i}"),
-                cat: TraceCat::Event,
-                wall_us: i,
-                virtual_us: i,
-                detail: String::new(),
-            });
+        let tracer = Tracer::new();
+        for i in 0..RING_CAPACITY + 3 {
+            tracer.record(instant(&format!("e{i}")));
         }
-        assert_eq!(ring.dropped(), 3);
-        // The two oldest records survive; the shed ones were newest.
-        assert_eq!(ring.pop().unwrap().name(), "e0");
-        assert_eq!(ring.pop().unwrap().name(), "e1");
-        assert!(ring.pop().is_none());
-        // Freed slots accept new records again.
-        ring.push(TraceRecord::Instant {
-            name: "e5".into(),
-            cat: TraceCat::Event,
-            wall_us: 5,
-            virtual_us: 5,
-            detail: String::new(),
-        });
-        assert_eq!(ring.pop().unwrap().name(), "e5");
+        assert_eq!(tracer.dropped(), 3);
+        // The oldest records survive; the shed ones were newest.
+        let kept = tracer.recent(RING_CAPACITY + 3);
+        assert_eq!(kept.len(), RING_CAPACITY);
+        assert_eq!(kept[0].record.name(), "e0");
+        assert_eq!(kept[RING_CAPACITY - 1].record.name(), format!("e{}", RING_CAPACITY - 1));
+        // The drained ring accepts new records again.
+        tracer.record(instant("again"));
+        assert_eq!(names(&tracer.recent(1)), ["again"]);
+        assert_eq!(tracer.dropped(), 3);
     }
 
     #[test]
     fn tracer_drains_across_threads() {
-        let tracer = Tracer::with_capacities(128, 4096);
+        let tracer = Tracer::new();
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let tracer = tracer.clone();
@@ -694,6 +610,23 @@ mod tests {
         assert_eq!(tracer.retained_len(), 200);
         assert_eq!(tracer.dropped(), 0);
         assert_eq!(tracer.threads(), 4);
+    }
+
+    #[test]
+    fn dropped_tracers_leave_the_thread_registry() {
+        // A fresh thread, so the registry starts empty.
+        let entries = std::thread::spawn(|| {
+            for _ in 0..3 {
+                Tracer::new().record(instant("once"));
+            }
+            let live = Tracer::new();
+            live.record(instant("live"));
+            assert_eq!(names(&live.recent(10)), ["live"]);
+            THREAD_RINGS.with(|cell| cell.borrow().len())
+        })
+        .join()
+        .unwrap();
+        assert_eq!(entries, 1, "only the live tracer's ring is registered");
     }
 
     #[test]

@@ -21,7 +21,6 @@ pub type Embedding = Vec<f32>;
 pub struct Embedder {
     dim: usize,
     seed: u64,
-    use_bigrams: bool,
 }
 
 impl Embedder {
@@ -31,13 +30,7 @@ impl Embedder {
     /// Panics if `dim` is zero.
     pub fn new(dim: usize, seed: u64) -> Embedder {
         assert!(dim > 0, "embedding dimension must be positive");
-        Embedder { dim, seed, use_bigrams: true }
-    }
-
-    /// Disable bigram features (ablation switch).
-    pub fn unigrams_only(mut self) -> Embedder {
-        self.use_bigrams = false;
-        self
+        Embedder { dim, seed }
     }
 
     /// Output dimensionality.
@@ -50,9 +43,7 @@ impl Embedder {
     pub fn embed(&self, text: &str) -> Embedding {
         let tokens = tokenize_content(text);
         let mut features: Vec<String> = tokens.clone();
-        if self.use_bigrams {
-            features.extend(word_ngrams(&tokens, 2));
-        }
+        features.extend(word_ngrams(&tokens, 2));
         let mut v = vec![0.0f32; self.dim];
         for feat in &features {
             let h = fnv1a(feat.as_bytes()) ^ self.seed;

@@ -9,7 +9,7 @@
 //! |---|---|
 //! | CLD2 language detection | [`langdetect`] — char-trigram Naive Bayes |
 //! | BERTopic stop-word removal | [`stopwords`] + [`mod@tokenize`] |
-//! | all-mpnet-base-v2 embeddings | [`vectorize`] (TF-IDF) + [`embed`] (seeded random projection) |
+//! | all-mpnet-base-v2 embeddings | [`embed`] — seeded random projection of hashed unigrams and bigrams |
 //! | UMAP | [`reduce`] — power-iteration PCA |
 //! | HDBSCAN | [`cluster`] — DBSCAN and an HDBSCAN-style variant |
 //! | KeyBERT | [`keywords`] — class-based TF-IDF (c-TF-IDF) |
@@ -29,7 +29,6 @@ pub mod reduce;
 pub mod similarity;
 pub mod stopwords;
 pub mod tokenize;
-pub mod vectorize;
 
 pub use cluster::{dbscan, hdbscan, ClusterLabel, ClusterParams};
 pub use embed::Embedder;
@@ -37,4 +36,3 @@ pub use keywords::class_tfidf_keywords;
 pub use langdetect::{detect_language, Lang};
 pub use similarity::word_similarity;
 pub use tokenize::tokenize;
-pub use vectorize::{cosine, TfIdfModel};

@@ -3,8 +3,7 @@
 //! The paper reports "word similarity ranging from 88% to 100%" across
 //! underground listings, computed case-insensitively after removing numbers
 //! and punctuation. We implement that measure exactly: normalized word-level
-//! overlap via a token-sequence LCS ratio, plus a bag-of-words Jaccard and a
-//! Dice coefficient for robustness checks.
+//! overlap via a token-sequence LCS ratio.
 
 use crate::tokenize::tokenize_alpha;
 
@@ -24,39 +23,6 @@ pub fn word_similarity(a: &str, b: &str) -> f64 {
     }
     let lcs = lcs_len(&ta, &tb);
     lcs as f64 / ta.len().max(tb.len()) as f64
-}
-
-/// Bag-of-words Jaccard similarity on alphabetic tokens.
-pub fn jaccard_similarity(a: &str, b: &str) -> f64 {
-    let sa: std::collections::HashSet<String> = tokenize_alpha(a).into_iter().collect();
-    let sb: std::collections::HashSet<String> = tokenize_alpha(b).into_iter().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let inter = sa.intersection(&sb).count();
-    let union = sa.union(&sb).count();
-    inter as f64 / union as f64
-}
-
-/// Dice coefficient on alphabetic token multisets.
-pub fn dice_similarity(a: &str, b: &str) -> f64 {
-    let ta = tokenize_alpha(a);
-    let tb = tokenize_alpha(b);
-    if ta.is_empty() && tb.is_empty() {
-        return 1.0;
-    }
-    if ta.is_empty() || tb.is_empty() {
-        return 0.0;
-    }
-    let mut counts: std::collections::HashMap<&str, (usize, usize)> = std::collections::HashMap::new();
-    for t in &ta {
-        counts.entry(t.as_str()).or_default().0 += 1;
-    }
-    for t in &tb {
-        counts.entry(t.as_str()).or_default().1 += 1;
-    }
-    let inter: usize = counts.values().map(|&(x, y)| x.min(y)).sum();
-    2.0 * inter as f64 / (ta.len() + tb.len()) as f64
 }
 
 /// Longest common subsequence length between token sequences.
@@ -131,8 +97,6 @@ mod tests {
         let a = "one two three four five";
         let b = "one two four five six seven";
         assert!((word_similarity(a, b) - word_similarity(b, a)).abs() < 1e-12);
-        assert!((jaccard_similarity(a, b) - jaccard_similarity(b, a)).abs() < 1e-12);
-        assert!((dice_similarity(a, b) - dice_similarity(b, a)).abs() < 1e-12);
     }
 
     #[test]
@@ -145,10 +109,8 @@ mod tests {
             ("x y z w", "x z"),
         ];
         for (a, b) in pairs {
-            for f in [word_similarity, jaccard_similarity, dice_similarity] {
-                let s = f(a, b);
-                assert!((0.0..=1.0).contains(&s), "{a:?} vs {b:?} -> {s}");
-            }
+            let s = word_similarity(a, b);
+            assert!((0.0..=1.0).contains(&s), "{a:?} vs {b:?} -> {s}");
         }
     }
 
@@ -156,7 +118,12 @@ mod tests {
     fn word_order_matters_for_lcs_not_jaccard() {
         let a = "buy this account now cheap";
         let b = "cheap now account this buy";
-        assert!((jaccard_similarity(a, b) - 1.0).abs() < 1e-12);
+        let bag = |t: &str| {
+            let mut words = tokenize_alpha(t);
+            words.sort();
+            words
+        };
+        assert_eq!(bag(a), bag(b), "same bag of words");
         assert!(word_similarity(a, b) < 0.5);
     }
 

@@ -65,12 +65,14 @@
 //!
 //! Exit codes: `0` success; `2` bad CLI usage: an unknown scenario, a
 //! `--kill-at` or `--workers` value that is not a positive whole number,
-//! or a `--resume --scenario` other than the one the store ran (refused
-//! before the store is touched); `3` an injected
-//! `--kill-at` crash fired (the store is left resumable); `5` economy
-//! payment reconciliation failure (a settled order used a method its
-//! marketplace does not list); `6` ops reconciliation failure (the final
-//! `/metrics` scrape disagrees with `TELEMETRY_report.json`).
+//! a `--resume --scenario` other than the one the store ran (refused
+//! before the store is touched), or a `--resume` the store refuses, such
+//! as one with nothing to resume (no checkpoint, or a completed study);
+//! `3` an injected `--kill-at` crash fired (the store is left
+//! resumable); `5` economy payment reconciliation failure (a settled
+//! order used a method its marketplace does not list); `6` ops
+//! reconciliation failure (the final `/metrics` scrape disagrees with
+//! `TELEMETRY_report.json`).
 //!
 //! `cargo test` runs this file's own tests, which call [`run`] in-process
 //! and check these exit codes and the artifacts behind them.
@@ -87,6 +89,7 @@ use acctrade::net::http::Request;
 use acctrade::net::transport::Transport;
 use acctrade::net::url::Url;
 use acctrade::net::{Client, SimNet};
+use acctrade::store::StoreError;
 use acctrade::workload::world::{World, WorldParams};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -289,8 +292,13 @@ fn campaign_mode(args: &[String]) -> i32 {
 
     let report = if resume {
         eprintln!("campaign: resuming interrupted store at {} ...", store_dir.display());
-        let report =
-            Study::resume_from_with_workers(config, &store_dir, workers).expect("resume");
+        let report = match Study::resume_from_with_workers(config, &store_dir, workers) {
+            Err(StoreError::Invalid(refusal)) => {
+                eprintln!("campaign: cannot resume {}: {refusal}", store_dir.display());
+                return 2;
+            }
+            resumed => resumed.expect("resume"),
+        };
         let recovery = report.recovery.as_ref().expect("resumed runs report recovery");
         eprintln!("campaign: {}", recovery.describe());
         report
@@ -616,6 +624,16 @@ mod tests {
         // The store is still resumable.
         let resumed = run(&argv(&["--campaign", "--store-dir", &store, "--resume", "--out", &out]));
         assert_eq!(resumed, 0);
+        // Nothing is left to resume: neither the completed store nor an
+        // empty directory is a resume target.
+        let completed = std::fs::read(&checkpoint).expect("the resumed run left a checkpoint");
+        let again = run(&argv(&["--campaign", "--store-dir", &store, "--resume", "--out", &out]));
+        assert_eq!(again, 2, "the study is complete");
+        let empty = format!("{dir}/empty");
+        std::fs::create_dir_all(&empty).unwrap();
+        let nothing = run(&argv(&["--campaign", "--store-dir", &empty, "--resume", "--out", &out]));
+        assert_eq!(nothing, 2, "no checkpoint");
+        assert!(std::fs::read(&checkpoint).unwrap() == completed, "a refused resume wrote");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

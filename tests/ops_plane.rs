@@ -58,7 +58,7 @@ fn ops_get(svc: &OpsService, path: &str) -> String {
 }
 
 /// Eight producer threads hammer the trace ring while `/tracez` is
-/// served concurrently: the lock-free SPSC rings must neither lose the
+/// served concurrently: the per-thread rings must neither lose the
 /// accounting (drained + dropped == produced) nor wedge a reader.
 #[test]
 fn tracez_survives_eight_concurrent_producers() {

@@ -128,8 +128,7 @@ fn engine_setup(seed: u64) -> std::sync::Arc<SimNet> {
 }
 
 /// 8-thread work-stealing stress: conservation of the frontier. Every
-/// planned shard is executed exactly once — by someone — and the
-/// per-worker diagnostics account for all of them.
+/// planned shard is executed exactly once — by someone.
 #[test]
 fn eight_worker_stress_conserves_every_shard() {
     let net = engine_setup(SEED);
@@ -150,18 +149,6 @@ fn eight_worker_stress_conserves_every_shard() {
         let before = keys.len();
         keys.dedup();
         assert_eq!(keys.len(), before, "no shard is crawled twice");
-
-        // The worker reports conserve the same total, and busy time
-        // matches the lanes they claim to have run.
-        assert_eq!(run.reports.len(), 8);
-        assert_eq!(run.reports.iter().map(|r| r.shards_run).sum::<usize>(), run.shards_total);
-        assert_eq!(
-            run.reports.iter().map(|r| r.shards_stolen).sum::<usize>(),
-            run.outcomes.iter().filter(|o| o.stolen).count(),
-        );
-        let lane_total: u64 =
-            run.outcomes.iter().map(|o| o.lane.now_us() - o.lane.start_us()).sum();
-        assert_eq!(run.reports.iter().map(|r| r.busy_virtual_us).sum::<u64>(), lane_total);
 
         // Fold the iteration back into the fabric exactly as the
         // campaign scheduler does, so iteration i+1 starts from the
