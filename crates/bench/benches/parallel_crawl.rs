@@ -8,8 +8,8 @@
 //! from the engine's own shard lane durations: the makespan of greedy
 //! longest-first list scheduling over the real per-shard virtual costs,
 //! with the sequential discovery phase charged as the serial fraction.
-//! That is the speedup an ideal work-stealing executor extracts from
-//! this shard decomposition — the quantity the (marketplace, platform
+//! That is the speedup an ideal scheduler (no worker idle while a shard
+//! waits) extracts from this shard decomposition — the quantity the (marketplace, platform
 //! chain) sharding was designed to maximise — and it is byte-stable
 //! across runs, so the recorded trajectory is comparable over time.
 
@@ -83,9 +83,9 @@ fn record_schedule_speedup() {
     let client = Client::new(&net, "acctrade-crawler/0.1").with_politeness(20.0, 8.0);
     let run = steal::run_iteration(&client, 0, 1, None);
 
-    let discovery_us: u64 = run.discovery.iter().map(|(_, l)| l.now_us() - l.start_us()).sum();
+    let discovery_us: u64 = run.discovery.iter().map(|(_, l)| l.clock().now_us() - l.start_us()).sum();
     let durations: Vec<u64> =
-        run.outcomes.iter().map(|o| o.lane.now_us() - o.lane.start_us()).collect();
+        run.outcomes.iter().map(|o| o.lane.clock().now_us() - o.lane.start_us()).collect();
     let total: u64 = durations.iter().sum();
     let serial = discovery_us + total;
     let largest = durations.iter().copied().max().unwrap_or(0);

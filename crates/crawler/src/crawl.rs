@@ -59,21 +59,8 @@ impl<'a> MarketplaceCrawler<'a> {
     /// Crawl the whole marketplace once. `iteration` stamps the records.
     pub fn crawl(&mut self, iteration: usize) -> (Vec<OfferRecord>, CrawlStats) {
         let mut stats = CrawlStats::default();
-        let host = self.market.host();
-        let base = Url::http(host, "/");
-
-        // Seed: the storefront's platform listing links (the paper's
-        // manually identified seed URLs).
-        let Ok(front) = self.client.get_url(&base) else {
-            stats.fetch_errors += 1;
-            self.record_stats(&stats);
-            return (Vec::new(), stats);
-        };
-        stats.pages_fetched += 1;
-        for path in extract::parse_storefront(&front.text()) {
-            self.frontier.push(format!("http://{host}{path}"));
-        }
-
+        let seeds = self.storefront(&mut stats);
+        self.frontier.push_all(seeds);
         let records = self.drain_frontier(iteration, &mut stats);
         self.record_stats(&stats);
         (records, stats)
@@ -83,38 +70,38 @@ impl<'a> MarketplaceCrawler<'a> {
     /// per platform chain. The parallel engine runs this discovery phase
     /// sequentially on the coordinator, then crawls each chain as its
     /// own shard via [`MarketplaceCrawler::crawl_chain`].
-    pub fn discover(&mut self) -> (Vec<String>, CrawlStats) {
+    pub fn discover(&mut self) -> Vec<String> {
         let mut stats = CrawlStats::default();
-        let host = self.market.host();
-        let base = Url::http(host, "/");
-        let Ok(front) = self.client.get_url(&base) else {
-            stats.fetch_errors += 1;
-            self.record_stats(&stats);
-            return (Vec::new(), stats);
-        };
-        stats.pages_fetched += 1;
-        let seeds: Vec<String> = extract::parse_storefront(&front.text())
-            .into_iter()
-            .map(|path| format!("http://{host}{path}"))
-            .collect();
+        let seeds = self.storefront(&mut stats);
         self.record_stats(&stats);
-        (seeds, stats)
+        seeds
     }
 
     /// Crawl one platform listing chain starting from `seed_url` (a URL
     /// returned by [`MarketplaceCrawler::discover`]). Walks the chain's
     /// pagination and every offer it links, exactly as the whole-market
     /// crawl would have.
-    pub fn crawl_chain(
-        &mut self,
-        seed_url: &str,
-        iteration: usize,
-    ) -> (Vec<OfferRecord>, CrawlStats) {
+    pub fn crawl_chain(&mut self, seed_url: &str, iteration: usize) -> Vec<OfferRecord> {
         let mut stats = CrawlStats::default();
         self.frontier.push(seed_url.to_string());
         let records = self.drain_frontier(iteration, &mut stats);
         self.record_stats(&stats);
-        (records, stats)
+        records
+    }
+
+    /// Seed: the storefront's platform listing links (the paper's
+    /// manually identified seed URLs), as absolute URLs.
+    fn storefront(&self, stats: &mut CrawlStats) -> Vec<String> {
+        let host = self.market.host();
+        let Ok(front) = self.client.get_url(&Url::http(host, "/")) else {
+            stats.fetch_errors += 1;
+            return Vec::new();
+        };
+        stats.pages_fetched += 1;
+        extract::parse_storefront(&front.text())
+            .into_iter()
+            .map(|path| format!("http://{host}{path}"))
+            .collect()
     }
 
     /// DFS over listing pages and offers until the frontier is empty.

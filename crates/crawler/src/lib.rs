@@ -12,9 +12,9 @@
 //! * [`frontier`] — the depth-first crawl frontier with a visited set;
 //! * [`crawl`] — the marketplace crawler: storefront → listing pages →
 //!   every offer, exactly the §3.2 strategy;
-//! * [`steal`] — the sharded work-stealing parallel engine: one
-//!   (marketplace, platform-chain) shard per work unit, per-worker
-//!   steal deques, per-shard deterministic lanes;
+//! * [`steal`] — the sharded parallel engine: one (marketplace,
+//!   platform-chain) shard per work unit, one shard queue pulled in
+//!   shard order, per-shard deterministic lanes;
 //! * [`merge`] — the canonical `(virtual timestamp, stable tiebreak)`
 //!   record order that makes parallel output byte-identical to
 //!   sequential output;

@@ -161,7 +161,7 @@ impl<'a> CrawlCampaign<'a> {
                 cursors.push(ShardCursor {
                     marketplace: market.name().to_string(),
                     chain: 0,
-                    lane_end_us: lane.now_us(),
+                    lane_end_us: lane.clock().now_us(),
                     lane_rng_words: lane.rng_word_position(),
                     records: 0,
                 });
@@ -171,7 +171,7 @@ impl<'a> CrawlCampaign<'a> {
                 cursors.push(ShardCursor {
                     marketplace: outcome.market.name().to_string(),
                     chain: outcome.chain,
-                    lane_end_us: outcome.lane.now_us(),
+                    lane_end_us: outcome.lane.clock().now_us(),
                     lane_rng_words: outcome.lane.rng_word_position(),
                     records: outcome.records.len() as u64,
                 });

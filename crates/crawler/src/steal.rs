@@ -1,11 +1,11 @@
-//! The sharded, work-stealing parallel crawl engine.
+//! The sharded parallel crawl engine.
 //!
 //! One campaign iteration is split into **shards**: the unit of work is
 //! a (marketplace, platform listing chain) pair, discovered by fetching
 //! each marketplace's storefront. Shards run on `workers` OS threads
-//! coordinated by per-worker [`foundation::sync::StealDeque`]s — a
-//! worker drains its own deque LIFO and steals FIFO from its neighbours
-//! when idle — so the load balances even though chain sizes are skewed.
+//! that pull from one shared queue in shard order. Marketplaces come in
+//! [`ALL_MARKETPLACES`] order, which is Table 1 size descending, so the
+//! largest chains start first and the skewed chain sizes still balance.
 //!
 //! ## Why this stays deterministic
 //!
@@ -25,7 +25,7 @@
 //!    fixed shard order ([`acctrade_net::sim::SimNet::absorb_lane`]);
 //!    records sort by [`crate::merge::merge_key`], never arrival order.
 //!
-//! Steal/completion order therefore shows up nowhere in the results.
+//! Pull/completion order therefore shows up nowhere in the results.
 //! Workers record only commutative counters and histograms, into the
 //! caller's recorder; they open no spans, whose start ordinals would
 //! follow the schedule.
@@ -39,15 +39,12 @@
 //! request density against any host never exceeds what one sequential
 //! polite crawler would have produced.
 
-// conformance: atomics(acquire, release, acqrel) — Chase-Lev deque protocol orderings
-
-use crate::crawl::{CrawlStats, MarketplaceCrawler};
+use crate::crawl::MarketplaceCrawler;
 use crate::record::OfferRecord;
 use acctrade_market::config::{MarketplaceId, ALL_MARKETPLACES};
 use acctrade_net::client::Client;
 use acctrade_net::lane::Lane;
-use foundation::sync::{scope, Mutex, StealDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use foundation::sync::{scope, Mutex};
 use std::sync::Arc;
 
 /// One unit of parallel work: crawl a single platform listing chain.
@@ -79,8 +76,6 @@ pub struct ShardOutcome {
     pub chain: usize,
     /// Records collected, stamped with lane virtual time.
     pub records: Vec<OfferRecord>,
-    /// Fetch statistics.
-    pub stats: CrawlStats,
     /// The shard's lane (folded into the fabric by the campaign).
     pub lane: Arc<Lane>,
 }
@@ -113,7 +108,7 @@ fn salt(label: &str) -> u64 {
 
 /// Run one campaign iteration across all marketplaces on `workers`
 /// threads. `kill_after_shards` is the crash-injection hook: after that
-/// many shard completions the engine stops pulling work and returns
+/// many shard completions the queue is emptied, and the engine returns
 /// with `killed = true` (simulating a process death mid-parallel-crawl;
 /// nothing is persisted by this layer, so the caller can abandon the
 /// iteration exactly as a real crash would).
@@ -135,12 +130,12 @@ pub fn run_iteration(
         let lane = net.lane(salt(&format!("discover:{host}:{iteration}")));
         let shard_client = client.fork_for_shard(Arc::clone(&lane), 1);
         let mut crawler = MarketplaceCrawler::new(&shard_client, market);
-        let (seeds, _stats) = crawler.discover();
+        let seeds = crawler.discover();
         let share = seeds.len().max(1) as u32;
         for (chain0, seed_url) in seeds.into_iter().enumerate() {
             let chain_lane = net.lane_starting_at(
                 salt(&format!("chain:{host}:{iteration}:{seed_url}")),
-                lane.now_us(),
+                lane.clock().now_us(),
             );
             jobs.push(ShardJob {
                 index: jobs.len(),
@@ -155,47 +150,41 @@ pub fn run_iteration(
     }
     let shards_total = jobs.len();
 
-    // Phase B — work-stealing execution. Jobs are dealt round-robin so
-    // every worker starts with a slice of every marketplace.
-    let deques: Vec<StealDeque<ShardJob>> = (0..workers).map(|_| StealDeque::new()).collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        deques[i % workers].push(job);
-    }
-
+    // Phase B — one queue, pulled in shard order by every worker.
+    let queue = Mutex::new(jobs.into_iter());
     let outcomes: Mutex<Vec<ShardOutcome>> = Mutex::new(Vec::new());
-    let completions = AtomicUsize::new(0);
-    let killed = AtomicBool::new(false);
     let ambient = telemetry::recorder();
 
     scope(|s| {
-        for w in 0..workers {
-            let deques = &deques;
-            let outcomes = &outcomes;
-            let completions = &completions;
-            let killed = &killed;
+        for _ in 0..workers {
+            let (queue, outcomes) = (&queue, &outcomes);
             let ambient = ambient.clone();
             s.spawn(move || {
                 // Only commutative counters and histograms are recorded
                 // from workers, so the shared ambient recorder stays
                 // independent of the schedule.
                 let _scope = ambient.enter();
-                while !killed.load(Ordering::Acquire) {
-                    let Some(job) = next_job(deques, w) else { break };
+                loop {
+                    // The queue guard is a temporary: it is released
+                    // before the shard runs, so workers crawl in parallel.
+                    let Some(job) = queue.lock().next() else { break };
                     let shard_client =
                         client.fork_for_shard(Arc::clone(&job.lane), job.host_share);
                     let mut crawler = MarketplaceCrawler::new(&shard_client, job.market);
-                    let (records, stats) = crawler.crawl_chain(&job.seed_url, iteration);
-                    outcomes.lock().push(ShardOutcome {
-                        index: job.index,
-                        market: job.market,
-                        chain: job.chain,
-                        records,
-                        stats,
-                        lane: job.lane,
-                    });
-                    let done = completions.fetch_add(1, Ordering::AcqRel) + 1;
+                    let records = crawler.crawl_chain(&job.seed_url, iteration);
+                    let done = {
+                        let mut outcomes = outcomes.lock();
+                        outcomes.push(ShardOutcome {
+                            index: job.index,
+                            market: job.market,
+                            chain: job.chain,
+                            records,
+                            lane: job.lane,
+                        });
+                        outcomes.len()
+                    };
                     if kill_after_shards.is_some_and(|k| done >= k) {
-                        killed.store(true, Ordering::Release);
+                        *queue.lock() = Vec::new().into_iter();
                     }
                 }
             });
@@ -204,14 +193,8 @@ pub fn run_iteration(
 
     let mut outcomes = outcomes.into_inner();
     outcomes.sort_by_key(|o| o.index);
-    IterationRun { discovery, outcomes, shards_total, killed: killed.load(Ordering::Acquire) }
-}
-
-/// Pop from the worker's own deque (LIFO), else steal FIFO from the
-/// nearest non-empty neighbour.
-fn next_job(deques: &[StealDeque<ShardJob>], w: usize) -> Option<ShardJob> {
-    let n = deques.len();
-    deques[w].pop().or_else(|| (1..n).find_map(|off| deques[(w + off) % n].steal()))
+    let killed = kill_after_shards.is_some_and(|k| outcomes.len() >= k);
+    IterationRun { discovery, outcomes, shards_total, killed }
 }
 
 #[cfg(test)]
@@ -261,5 +244,19 @@ mod tests {
         assert!(run.killed);
         assert!(run.outcomes.len() < run.shards_total);
         assert!(run.outcomes.len() >= 3, "kill fires only after 3 completions");
+
+        // The edges of the post-join rule: a kill at the last completion
+        // still counts as a kill, one past it never fires.
+        let total = run.shards_total;
+        let (_world, net) = setup(33);
+        let client = Client::new(&net, "acctrade-crawler/0.1").with_politeness(50.0, 10.0);
+        let run = run_iteration(&client, 0, 2, Some(total));
+        assert!(run.killed, "k == shards_total fires at the last completion");
+        assert_eq!(run.outcomes.len(), total, "every shard is present");
+        let (_world, net) = setup(33);
+        let client = Client::new(&net, "acctrade-crawler/0.1").with_politeness(50.0, 10.0);
+        let run = run_iteration(&client, 0, 2, Some(total + 1));
+        assert!(!run.killed, "k > shards_total never fires");
+        assert_eq!(run.outcomes.len(), total);
     }
 }

@@ -398,56 +398,6 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for RwLockWriteGuard<'_, T> {
     }
 }
 
-/// A work-stealing deque: the owner treats it as a LIFO stack (`push` /
-/// `pop` at the back), thieves take from the front (`steal`), FIFO —
-/// the classic Chase–Lev access pattern, implemented here over a single
-/// [`Mutex`]-guarded `VecDeque` rather than lock-free rings because
-/// every item in this workload is a whole crawl shard (milliseconds of
-/// work), so the lock is never contended enough to matter.
-///
-/// Lock discipline: all three operations acquire exactly one lock and
-/// release it before returning, so a `StealDeque` can never participate
-/// in a lock-order cycle on its own; callers must still avoid holding a
-/// deque guard while taking other locks (none of the accessors make
-/// that possible — they return owned items).
-#[derive(Debug, Default)]
-pub struct StealDeque<T> {
-    inner: Mutex<std::collections::VecDeque<T>>,
-}
-
-impl<T> StealDeque<T> {
-    /// An empty deque.
-    pub fn new() -> StealDeque<T> {
-        StealDeque { inner: Mutex::new(std::collections::VecDeque::new()) }
-    }
-
-    /// Owner: push one item onto the back.
-    pub fn push(&self, item: T) {
-        self.inner.lock().push_back(item);
-    }
-
-    /// Owner: pop the most recently pushed item (LIFO — keeps the owner
-    /// on its freshest work, leaving the oldest for thieves).
-    pub fn pop(&self) -> Option<T> {
-        self.inner.lock().pop_back()
-    }
-
-    /// Thief: steal the oldest item from the front (FIFO).
-    pub fn steal(&self) -> Option<T> {
-        self.inner.lock().pop_front()
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// Is the deque empty?
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
-    }
-}
-
 /// A condition variable paired with [`Mutex`].
 ///
 /// Wraps [`std::sync::Condvar`] so waiters hand over (and get back) the
@@ -719,79 +669,6 @@ mod tests {
         let _gb = b.lock();
         let ga = a.try_lock();
         assert!(ga.is_some());
-    }
-
-    // ------------------------------------------- work-stealing deque
-
-    #[test]
-    fn steal_deque_owner_is_lifo_thief_is_fifo() {
-        let d = StealDeque::new();
-        assert!(d.is_empty());
-        d.push(1);
-        d.push(2);
-        d.push(3);
-        assert_eq!(d.len(), 3);
-        assert_eq!(d.pop(), Some(3), "owner pops the freshest item");
-        assert_eq!(d.steal(), Some(1), "thief steals the oldest item");
-        assert_eq!(d.pop(), Some(2));
-        assert_eq!(d.pop(), None);
-        assert_eq!(d.steal(), None);
-    }
-
-    /// Conservation under contention: 8 threads (each owning one deque,
-    /// stealing from the others when dry) collectively consume every
-    /// item exactly once — nothing lost, nothing duplicated.
-    #[test]
-    fn steal_deque_eight_thread_conservation() {
-        const WORKERS: usize = 8;
-        const ITEMS: usize = 4_000;
-        let deques: Vec<StealDeque<usize>> = (0..WORKERS).map(|_| StealDeque::new()).collect();
-        // Deliberately unbalanced: all items start on deque 0, so every
-        // other worker can only make progress by stealing.
-        for i in 0..ITEMS {
-            deques[0].push(i);
-        }
-        let taken: Vec<Mutex<Vec<usize>>> = (0..WORKERS).map(|_| Mutex::new(Vec::new())).collect();
-        scope(|s| {
-            for w in 0..WORKERS {
-                let deques = &deques;
-                let taken = &taken;
-                s.spawn(move || loop {
-                    let item = deques[w].pop().or_else(|| {
-                        (1..WORKERS).find_map(|off| deques[(w + off) % WORKERS].steal())
-                    });
-                    match item {
-                        Some(i) => taken[w].lock().push(i),
-                        None => break,
-                    }
-                });
-            }
-        });
-        let mut all: Vec<usize> = taken.iter().flat_map(|t| t.lock().clone()).collect();
-        assert_eq!(all.len(), ITEMS, "every item consumed");
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), ITEMS, "no item consumed twice");
-        assert!(deques.iter().all(|d| d.is_empty()));
-    }
-
-    /// The deque's single internal lock participates in the global
-    /// lock-order graph like any other: an AB/BA interleaving between
-    /// two deques' inner locks is caught with both witness sites. (The
-    /// public API cannot express this — `push`/`pop`/`steal` never hold
-    /// the guard across a call — so this reaches into `inner` to prove
-    /// the detector covers the new lock.)
-    #[test]
-    #[should_panic(expected = "lock-order inversion detected")]
-    fn steal_deque_inner_lock_is_order_checked() {
-        let a: StealDeque<u8> = StealDeque::new();
-        let b: StealDeque<u8> = StealDeque::new();
-        {
-            let _ga = a.inner.lock();
-            let _gb = b.inner.lock(); // establishes A → B
-        }
-        let _gb = b.inner.lock();
-        let _ga = a.inner.lock(); // B → A closes the cycle: must panic
     }
 
     #[test]

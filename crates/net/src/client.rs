@@ -56,10 +56,10 @@ pub struct Client {
     /// Transparent retries on transient transport faults (resets,
     /// timeouts). 0 = fail fast.
     retries: u32,
-    /// Deterministic execution lane; when set, every clock read/advance
-    /// and every dispatch is charged to the lane instead of the shared
-    /// fabric state (the parallel-crawl path).
-    lane: Option<Arc<Lane>>,
+    /// The timeline every clock read/advance and every dispatch is
+    /// charged to: the fabric's root lane, or a shard's own lane (the
+    /// parallel-crawl path).
+    lane: Arc<Lane>,
     /// How many sibling shard clients share this client's target host.
     /// Politeness budgets are divided by it and robots crawl-delays
     /// multiplied by it, so the *aggregate* request density on the host
@@ -87,7 +87,7 @@ impl Client {
             rng: Mutex::new(ChaCha8Rng::seed_from_u64(0x00C1_1E27)),
             max_captcha_attempts: 3,
             retries: 0,
-            lane: None,
+            lane: Arc::clone(net.root()),
             host_share: 1,
             transport: None,
         }
@@ -120,7 +120,7 @@ impl Client {
             rng: Mutex::new(ChaCha8Rng::seed_from_u64(0x00C1_1E27)),
             max_captcha_attempts: self.max_captcha_attempts,
             retries: self.retries,
-            lane: Some(lane),
+            lane,
             host_share: share,
             transport: self.transport.clone(),
         }
@@ -176,11 +176,6 @@ impl Client {
         &self.net
     }
 
-    /// The lane this client is confined to, if any.
-    pub fn lane(&self) -> Option<&Arc<Lane>> {
-        self.lane.as_ref()
-    }
-
     /// Current virtual time in unix seconds — lane time for shard
     /// clients, shared fabric time otherwise. Crawlers stamp
     /// `collected_unix` from this so records carry the time the fetch
@@ -191,35 +186,7 @@ impl Client {
                 return now;
             }
         }
-        match &self.lane {
-            Some(l) => l.now_unix(),
-            None => self.net.clock().now_unix(),
-        }
-    }
-
-    fn vnow_us(&self) -> u64 {
-        match &self.lane {
-            Some(l) => l.now_us(),
-            None => self.net.clock().now_us(),
-        }
-    }
-
-    fn vadvance(&self, delta_us: u64) {
-        match &self.lane {
-            Some(l) => l.advance(delta_us),
-            None => {
-                self.net.clock().advance(delta_us);
-            }
-        }
-    }
-
-    fn vadvance_to(&self, target_us: u64) {
-        match &self.lane {
-            Some(l) => l.advance_to(target_us),
-            None => {
-                self.net.clock().advance_to(target_us);
-            }
-        }
+        self.lane.clock().now_unix()
     }
 
     /// GET a URL string.
@@ -309,7 +276,7 @@ impl Client {
                         r.incr("net.retries", &[("host", req.url.host())], 1);
                     });
                     // Linear virtual-time backoff before the retry.
-                    self.vadvance(u64::from(attempt) * 500_000);
+                    self.lane.clock().advance(u64::from(attempt) * 500_000);
                 }
                 _ => return result,
             }
@@ -320,7 +287,7 @@ impl Client {
         match &self.circuit {
             Some(circuit) => {
                 let extra = circuit.overlay_latency_us();
-                self.net.dispatch(req, circuit.exit_nickname(), true, extra)
+                self.net.dispatch_in(req, circuit.exit_nickname(), true, extra, &self.lane)
             }
             None => {
                 if req.url.is_onion() {
@@ -328,9 +295,7 @@ impl Client {
                 }
                 match &self.transport {
                     Some(t) => t.send(req),
-                    None => self
-                        .net
-                        .dispatch_in(req, &self.session_id, false, 0, self.lane.as_deref()),
+                    None => self.net.dispatch_in(req, &self.session_id, false, 0, &self.lane),
                 }
             }
         }
@@ -362,7 +327,7 @@ impl Client {
                 // crawl-delay budget: `host_share` parallel timelines
                 // each spacing requests `host_share ×` wider aggregate
                 // to the same per-host density one crawler produces.
-                self.vadvance(delay.saturating_mul(u64::from(self.host_share)));
+                self.lane.clock().advance(delay.saturating_mul(u64::from(self.host_share)));
             }
         }
         Ok(())
@@ -372,7 +337,7 @@ impl Client {
         let Some((rate, burst)) = self.polite_rate else {
             return;
         };
-        let start = self.vnow_us();
+        let start = self.lane.clock().now_us();
         let mut map = self.politeness.lock();
         let bucket = map
             .entry(host.to_string())
@@ -384,8 +349,7 @@ impl Client {
         let mut t = start;
         while !bucket.try_acquire(t) {
             let at = bucket.next_allowed_at(t).max(t + 1);
-            self.vadvance_to(at);
-            t = self.vnow_us();
+            t = self.lane.clock().advance_to(at);
         }
         if t > start {
             telemetry::with_recorder(|r| {
@@ -424,7 +388,7 @@ impl Client {
         let mut rng = self.rng.lock();
         for _ in 0..self.max_captcha_attempts {
             let (attempt, token) = captcha::human_attempt(challenge, &mut *rng);
-            self.vadvance(attempt.elapsed_us);
+            self.lane.clock().advance(attempt.elapsed_us);
             if attempt.solved {
                 return token;
             }
@@ -550,7 +514,6 @@ mod tests {
             "p.com",
             Router::new().route("/", |_, _| Response::ok()),
             crate::latency::LatencyModel::Fixed { us: 10 },
-            None,
         );
         let c = Client::new(&net, "ua").with_politeness(1.0, 1.0); // 1 req/s
         let t0 = net.clock().now_us();
@@ -611,6 +574,25 @@ mod tests {
         assert_eq!(resp.text(), "forum index");
         // Solving consumed human-scale virtual time.
         assert!(net.clock().now_us() - t0 >= 4_000_000);
+    }
+
+    #[test]
+    fn tor_requests_from_a_lane_client_charge_the_lane() {
+        let net = SimNet::new(3);
+        net.register("forum.onion", Router::new().route("/", |_, _| Response::ok()));
+        let lane = net.lane(0x70F);
+        let mut rng = foundation::rng::ChaCha8Rng::seed_from_u64(4);
+        let circuit = TorDirectory::default_consensus().build_circuit(&mut rng);
+        let client =
+            Client::new(&net, "ua").fork_for_shard(Arc::clone(&lane), 1).via_tor(circuit);
+        let (t0, lane_t0) = (net.clock().now_us(), lane.clock().now_us());
+        assert_eq!(client.get("http://forum.onion/").unwrap().status, Status::Ok);
+        assert_eq!(net.clock().now_us(), t0, "shared timeline untouched");
+        assert_eq!(net.request_count(), 0, "shared log untouched until the lane is absorbed");
+        assert!(lane.clock().now_us() > lane_t0, "the overlay latency is charged to the lane");
+        net.absorb_lane(&lane);
+        assert_eq!(net.request_count(), 1);
+        assert!(net.log_snapshot()[0].via_tor);
     }
 
     #[test]

@@ -44,14 +44,18 @@ impl SimClock {
 
     /// Create a clock at an arbitrary Unix timestamp (seconds).
     pub fn at_unix(unix_seconds: i64) -> Self {
-        SimClock {
-            inner: Arc::new(Mutex::new((unix_seconds.max(0) as u64) * SECOND)),
-        }
+        Self::at_us((unix_seconds.max(0) as u64) * SECOND)
+    }
+
+    /// Create a clock at `us` microseconds since the epoch (a shard
+    /// lane's fresh clock).
+    pub(crate) fn at_us(us: u64) -> Self {
+        SimClock { inner: Arc::new(Mutex::new(us)) }
     }
 
     /// Create a clock at time zero (useful for unit tests).
     pub fn zero() -> Self {
-        SimClock { inner: Arc::new(Mutex::new(0)) }
+        Self::at_us(0)
     }
 
     /// Current virtual time in microseconds since the epoch.

@@ -28,20 +28,8 @@ pub enum NetError {
     BadUrl(String),
     /// A `.onion` host was contacted without a Tor circuit.
     TorRequired(String),
-    /// A non-onion host was contacted through a Tor-only client configured
-    /// to refuse clearnet leaks.
-    ClearnetRefused(String),
     /// The client refused to fetch the URL because robots.txt disallows it.
     RobotsDisallowed(String),
-    /// The server rate-limited the client (HTTP 429 surfaced as an error by
-    /// clients configured to treat throttling as fatal).
-    /// Rate limited.
-    RateLimited {
-        /// Host that throttled the client.
-        host: String,
-        /// Virtual microseconds until a retry may succeed.
-        retry_after_us: u64,
-    },
     /// Too many redirects were followed.
     TooManyRedirects(String),
     /// A response could not be decoded (bad framing, invalid UTF-8 body when
@@ -59,13 +47,7 @@ impl fmt::Display for NetError {
             NetError::ConnectionReset(h) => write!(f, "connection reset by {h}"),
             NetError::BadUrl(u) => write!(f, "bad url: {u}"),
             NetError::TorRequired(h) => write!(f, "{h} is an onion service; a Tor circuit is required"),
-            NetError::ClearnetRefused(h) => {
-                write!(f, "client is Tor-only; refusing clearnet host {h}")
-            }
             NetError::RobotsDisallowed(u) => write!(f, "robots.txt disallows {u}"),
-            NetError::RateLimited { host, retry_after_us } => {
-                write!(f, "rate limited by {host}; retry after {retry_after_us}us")
-            }
             NetError::TooManyRedirects(u) => write!(f, "too many redirects from {u}"),
             NetError::Protocol(m) => write!(f, "protocol error: {m}"),
         }

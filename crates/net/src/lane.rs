@@ -1,55 +1,61 @@
-//! Deterministic per-shard execution lanes for parallel crawling.
+//! Deterministic execution lanes: the timelines every request is
+//! charged to.
 //!
 //! The fabric ([`crate::sim::SimNet`]) is a discrete-event simulation:
-//! every request draws latency from one shared RNG stream and advances
-//! one shared clock, so the *arrival order* of requests decides what
-//! each request observes. That is fine single-threaded — arrival order
-//! is program order — but fatal for parallelism: two worker threads
-//! racing through the same RNG/clock would make the artifacts depend on
-//! the OS scheduler.
+//! every request draws latency from an RNG stream and advances a
+//! virtual clock, so the *arrival order* of requests on one timeline
+//! decides what each request observes. That is fine single-threaded —
+//! arrival order is program order — but fatal for parallelism: two
+//! worker threads racing through the same RNG/clock would make the
+//! artifacts depend on the OS scheduler.
 //!
-//! A [`Lane`] fixes this by giving one crawl shard its own private
-//! slice of the simulation:
+//! A [`Lane`] is one such timeline:
 //!
-//! * an **RNG substream** seeded from the fabric seed and the shard's
-//!   stable salt — so the latency/fault draws a shard sees depend only
-//!   on (seed, shard, request index), never on what other shards do;
-//! * a **virtual-time cursor** starting at the shard's fixed start time
-//!   — politeness waits, robots crawl-delays, and latency charges all
-//!   advance the lane cursor, not the shared clock;
-//! * a **buffered request log** — entries are stamped with lane time
-//!   and folded into the shared fabric log in a fixed shard order after
-//!   all workers join ([`crate::sim::SimNet::absorb_lane`]).
+//! * a **virtual clock** ([`SimClock`]);
+//! * an **RNG substream** for latency and fault draws;
+//! * a **request log**.
+//!
+//! The fabric's own clock, RNG and log are its *root lane*; a client
+//! that is not bound to a shard is charged there. Each crawl shard gets
+//! a lane of its own, seeded from the fabric seed and the shard's stable
+//! salt and starting at the shard's fixed start time: politeness waits,
+//! robots crawl-delays and latency charges advance the shard's clock,
+//! not the shared one, and its log entries are stamped with shard time
+//! and folded into the root log in a fixed shard order after all workers
+//! join ([`crate::sim::SimNet::absorb_lane`]).
 //!
 //! The result: a shard's entire observable behaviour is a pure function
 //! of its inputs, independent of which worker runs it and when — which
 //! is exactly the property the deterministic merge stage needs to make
 //! `workers=8` byte-identical to `workers=1`.
 
+use crate::clock::SimClock;
 use crate::sim::LogEntry;
 use foundation::rng::ChaCha8Rng;
-use foundation::sync::Mutex;
+use foundation::sync::{Mutex, MutexGuard};
 
-/// One shard's private clock, RNG substream, and log buffer. Created by
-/// [`crate::sim::SimNet::lane`]; handed to a [`crate::client::Client`]
-/// via [`crate::client::Client::fork_for_shard`].
+/// One timeline: a virtual clock, an RNG substream and a request log.
+/// Shard lanes are created by [`crate::sim::SimNet::lane`] and handed
+/// to a [`crate::client::Client`] via
+/// [`crate::client::Client::fork_for_shard`].
 pub struct Lane {
     /// The lane's fixed virtual start (µs since epoch).
     start_us: u64,
-    /// The lane's virtual-time cursor (µs since epoch, ≥ `start_us`).
-    cursor: Mutex<u64>,
-    /// The lane's private latency/fault RNG substream.
+    /// The lane's virtual clock (never before `start_us`).
+    clock: SimClock,
+    /// The lane's latency/fault RNG substream.
     rng: Mutex<ChaCha8Rng>,
-    /// Request-log entries buffered until the fabric absorbs the lane.
+    /// Request-log entries charged to this lane.
     log: Mutex<Vec<LogEntry>>,
 }
 
 impl Lane {
-    /// Build a lane starting at `start_us` with its own RNG substream.
-    pub(crate) fn new(start_us: u64, rng: ChaCha8Rng) -> Lane {
+    /// Build a lane on `clock`, starting at its current time, with its
+    /// own RNG substream.
+    pub(crate) fn new(clock: SimClock, rng: ChaCha8Rng) -> Lane {
         Lane {
-            start_us,
-            cursor: Mutex::new(start_us),
+            start_us: clock.now_us(),
+            clock,
             rng: Mutex::new(rng),
             log: Mutex::new(Vec::new()),
         }
@@ -60,28 +66,9 @@ impl Lane {
         self.start_us
     }
 
-    /// Current lane time in µs since the epoch.
-    pub fn now_us(&self) -> u64 {
-        *self.cursor.lock()
-    }
-
-    /// Current lane time in unix seconds.
-    pub fn now_unix(&self) -> i64 {
-        (self.now_us() / 1_000_000) as i64
-    }
-
-    /// Advance the lane cursor by `delta_us`.
-    pub fn advance(&self, delta_us: u64) {
-        let mut cursor = self.cursor.lock();
-        *cursor += delta_us;
-    }
-
-    /// Advance the lane cursor to `target_us` (never backwards).
-    pub fn advance_to(&self, target_us: u64) {
-        let mut cursor = self.cursor.lock();
-        if target_us > *cursor {
-            *cursor = target_us;
-        }
+    /// The lane's virtual clock.
+    pub fn clock(&self) -> &SimClock {
+        &self.clock
     }
 
     /// Words consumed from the lane's RNG substream (shard-cursor
@@ -90,26 +77,15 @@ impl Lane {
         self.rng.lock().word_position()
     }
 
-    /// Buffered log entries so far.
-    pub fn log_len(&self) -> usize {
-        self.log.lock().len()
-    }
-
     /// Lock the lane RNG for a latency/fault draw (fabric-internal; the
     /// lane RNG is a leaf lock — nothing is acquired while holding it).
-    pub(crate) fn rng(&self) -> foundation::sync::MutexGuard<'_, ChaCha8Rng> {
+    pub(crate) fn rng(&self) -> MutexGuard<'_, ChaCha8Rng> {
         self.rng.lock()
     }
 
-    /// Buffer one request-log entry (fabric-internal).
-    pub(crate) fn push_log(&self, entry: LogEntry) {
-        self.log.lock().push(entry);
-    }
-
-    /// Drain the buffered log (fabric-internal; called by
-    /// [`crate::sim::SimNet::absorb_lane`]).
-    pub(crate) fn drain_log(&self) -> Vec<LogEntry> {
-        std::mem::take(&mut *self.log.lock())
+    /// Lock the lane's request log (fabric-internal).
+    pub(crate) fn log(&self) -> MutexGuard<'_, Vec<LogEntry>> {
+        self.log.lock()
     }
 }
 
@@ -117,8 +93,8 @@ impl std::fmt::Debug for Lane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Lane")
             .field("start_us", &self.start_us)
-            .field("now_us", &self.now_us())
-            .field("buffered_log", &self.log_len())
+            .field("now_us", &self.clock.now_us())
+            .field("logged", &self.log.lock().len())
             .finish()
     }
 }
@@ -130,22 +106,23 @@ mod tests {
 
     #[test]
     fn lane_clock_is_private_and_monotone() {
-        let lane = Lane::new(1_000, ChaCha8Rng::seed_from_u64(1));
+        let lane = Lane::new(SimClock::at_us(1_000), ChaCha8Rng::seed_from_u64(1));
         assert_eq!(lane.start_us(), 1_000);
-        assert_eq!(lane.now_us(), 1_000);
-        lane.advance(500);
-        assert_eq!(lane.now_us(), 1_500);
-        lane.advance_to(1_200); // backwards: ignored
-        assert_eq!(lane.now_us(), 1_500);
-        lane.advance_to(2_000);
-        assert_eq!(lane.now_us(), 2_000);
-        assert_eq!(lane.now_unix(), 0, "µs cursor under one second");
+        assert_eq!(lane.clock().now_us(), 1_000);
+        lane.clock().advance(500);
+        assert_eq!(lane.clock().now_us(), 1_500);
+        lane.clock().advance_to(1_200); // backwards: ignored
+        assert_eq!(lane.clock().now_us(), 1_500);
+        lane.clock().advance_to(2_000);
+        assert_eq!(lane.clock().now_us(), 2_000);
+        assert_eq!(lane.clock().now_unix(), 0, "µs clock under one second");
+        assert_eq!(lane.start_us(), 1_000, "the start stays fixed");
     }
 
     #[test]
     fn lane_rng_is_an_independent_substream() {
-        let a = Lane::new(0, ChaCha8Rng::seed_from_u64(7));
-        let b = Lane::new(0, ChaCha8Rng::seed_from_u64(7));
+        let a = Lane::new(SimClock::zero(), ChaCha8Rng::seed_from_u64(7));
+        let b = Lane::new(SimClock::zero(), ChaCha8Rng::seed_from_u64(7));
         let xa: u64 = a.rng().random_range(0..1_000_000);
         let xb: u64 = b.rng().random_range(0..1_000_000);
         assert_eq!(xa, xb, "same substream seed, same draws");

@@ -16,8 +16,8 @@
 //!   wire framing on top of [`foundation::bytes::Bytes`].
 //! * [`latency`] — seeded latency models (fixed, uniform, long-tailed) used by
 //!   the fabric to charge virtual time per request.
-//! * [`ratelimit`] — token-bucket rate limiting, used both by servers
-//!   (throttling clients) and by the polite crawler (self-throttling).
+//! * [`ratelimit`] — token-bucket rate limiting, used by the polite
+//!   crawler (self-throttling).
 //! * [`robots`] — a `robots.txt` subset (user-agent groups, allow/disallow,
 //!   crawl-delay) honoured by the crawler.
 //! * [`captcha`] — CAPTCHA challenge gates; automated clients never solve
@@ -30,11 +30,13 @@
 //! * [`client`] — a session-capable HTTP client (cookies, user-agent,
 //!   redirects, politeness) that talks to the fabric.
 //! * [`sim`] — [`sim::SimNet`], the fabric itself: host registry, per-host
-//!   latency and rate limits, fault injection, request log.
-//! * [`lane`] — deterministic per-shard execution lanes: a private RNG
-//!   substream, virtual-time cursor, and buffered request log that let the
-//!   parallel crawl engine run shards on worker threads without scheduling
-//!   order ever leaking into the simulation.
+//!   latency, fault injection, and its root lane (the shared clock, RNG
+//!   and request log).
+//! * [`lane`] — deterministic execution lanes: a virtual clock, an RNG
+//!   substream and a request log. Every request is charged to one: the
+//!   fabric's root lane, or a crawl shard's own, which lets the parallel
+//!   crawl engine run shards on worker threads without scheduling order
+//!   ever leaking into the simulation.
 //!
 //! Everything is synchronous by design: the workload is CPU-bound
 //! simulation, for which the async-runtime guides explicitly recommend

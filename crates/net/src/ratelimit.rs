@@ -1,12 +1,9 @@
 //! Token-bucket rate limiting over virtual time.
 //!
-//! Used in two places that mirror the paper's setup:
-//!
-//! * **Server side** — marketplaces throttle aggressive clients with HTTP
-//!   429, one of the "crawling challenges" that made some channels
-//!   infeasible to monitor (Table 9).
-//! * **Client side** — the crawler self-throttles (politeness) so that it
-//!   never trips automation triggers, per the paper's ethics statement.
+//! The crawler self-throttles (politeness) so that it never trips
+//! automation triggers, per the paper's ethics statement. Marketplaces
+//! throttle crawlers through robots.txt `Crawl-delay`, which the client
+//! honours ([`crate::robots`]).
 
 
 // conformance: reactor-path — no blocking calls; the accept loop/parsers must never stall a lane
@@ -15,7 +12,7 @@
 ///
 /// The bucket holds up to `burst` tokens and refills at `rate_per_sec`
 /// tokens per virtual second. [`TokenBucket::try_acquire`] is the
-/// non-blocking server-side check; [`TokenBucket::next_allowed_at`] lets a
+/// non-blocking check; [`TokenBucket::next_allowed_at`] lets a
 /// polite client compute how long to sleep.
 #[derive(Debug, Clone)]
 pub struct TokenBucket {

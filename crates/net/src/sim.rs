@@ -6,7 +6,6 @@ use crate::error::{NetError, NetResult};
 use crate::http::{Request, Response, Status};
 use crate::lane::Lane;
 use crate::latency::LatencyModel;
-use crate::ratelimit::TokenBucket;
 use crate::robots::RobotsPolicy;
 use crate::server::{RequestCtx, Service};
 use foundation::rng::{splitmix64, RngExt, SeedableRng};
@@ -56,44 +55,39 @@ pub struct LogEntry {
 struct HostEntry {
     service: Arc<dyn Service>,
     latency: LatencyModel,
-    limiter: Option<Mutex<TokenBucket>>,
 }
 
 /// The simulated network every component of a study shares.
 ///
-/// `SimNet` owns the virtual clock, the host registry, a seeded RNG for
-/// latency/fault sampling, and an append-only request log used by the
-/// analyses ("how many requests did the crawl issue", "how long did the
-/// underground collection take").
+/// `SimNet` owns the host registry, the fault plan and its *root lane*:
+/// the shared virtual clock, a seeded RNG for latency/fault sampling,
+/// and an append-only request log used by the analyses ("how many
+/// requests did the crawl issue", "how long did the underground
+/// collection take"). Every request is charged to a [`Lane`]: the root
+/// lane, or a shard lane whose log is folded back by
+/// [`SimNet::absorb_lane`].
 pub struct SimNet {
     seed: u64,
-    clock: SimClock,
+    root: Arc<Lane>,
     hosts: Mutex<HashMap<String, HostEntry>>,
-    rng: Mutex<ChaCha8Rng>,
-    log: Mutex<Vec<LogEntry>>,
     faults: Mutex<FaultPlan>,
 }
 
 impl SimNet {
     /// Create a fabric with its clock at the paper's collection start and
     /// all randomness derived from `seed`.
-    pub fn new(seed: u64) -> Arc<SimNet> {
-        SimNet::with_clock(seed, SimClock::at_collection_start())
-    }
-
-    /// Create a fabric sharing an existing clock.
     ///
     /// Installs the clock as the current telemetry recorder's
     /// [`telemetry::VirtualClock`], so spans and events recorded anywhere
     /// downstream are stamped with the fabric's virtual time.
-    pub fn with_clock(seed: u64, clock: SimClock) -> Arc<SimNet> {
+    pub fn new(seed: u64) -> Arc<SimNet> {
+        let clock = SimClock::at_collection_start();
         telemetry::with_recorder(|r| r.set_virtual_clock(Arc::new(clock.clone())));
+        let rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED_0000_0000_00F0);
         Arc::new(SimNet {
             seed,
-            clock,
+            root: Arc::new(Lane::new(clock, rng)),
             hosts: Mutex::new(HashMap::new()),
-            rng: Mutex::new(ChaCha8Rng::seed_from_u64(seed ^ 0x5EED_0000_0000_00F0)),
-            log: Mutex::new(Vec::new()),
             faults: Mutex::new(FaultPlan::default()),
         })
     }
@@ -103,7 +97,7 @@ impl SimNet {
     /// shard's marketplace/chain/iteration, never from scheduling) —
     /// the lane's RNG substream is a pure function of `(seed, salt)`.
     pub fn lane(&self, salt: u64) -> Arc<Lane> {
-        self.lane_starting_at(salt, self.clock.now_us())
+        self.lane_starting_at(salt, self.clock().now_us())
     }
 
     /// Open a deterministic [`Lane`] with an explicit virtual start
@@ -111,23 +105,28 @@ impl SimNet {
     /// ended, not at the shared clock).
     pub fn lane_starting_at(&self, salt: u64, start_us: u64) -> Arc<Lane> {
         let stream = splitmix64(self.seed ^ 0x5EED_0000_0000_1A4E) ^ splitmix64(salt);
-        Arc::new(Lane::new(start_us, ChaCha8Rng::seed_from_u64(stream)))
+        Arc::new(Lane::new(SimClock::at_us(start_us), ChaCha8Rng::seed_from_u64(stream)))
     }
 
-    /// Fold a finished lane back into the fabric: drain its buffered
-    /// request log into the shared log and advance the shared clock to
-    /// the lane's cursor (never backwards). Callers absorb lanes in a
-    /// fixed shard order after all workers join, so the shared log's
-    /// contents are independent of worker scheduling.
+    /// Fold a finished shard lane back into the fabric: drain its request
+    /// log into the root log and advance the shared clock to the lane's
+    /// clock (never backwards). Callers absorb lanes in a fixed shard
+    /// order after all workers join, so the shared log's contents are
+    /// independent of worker scheduling.
     pub fn absorb_lane(&self, lane: &Lane) {
-        let entries = lane.drain_log();
-        self.log.lock().extend(entries);
-        let _ = self.clock.advance_to(lane.now_us());
+        let entries = std::mem::take(&mut *lane.log());
+        self.root.log().extend(entries);
+        self.clock().advance_to(lane.clock().now_us());
     }
 
-    /// The shared clock.
+    /// The shared clock (the root lane's).
     pub fn clock(&self) -> &SimClock {
-        &self.clock
+        self.root.clock()
+    }
+
+    /// The fabric's own lane, which clients not bound to a shard use.
+    pub(crate) fn root(&self) -> &Arc<Lane> {
+        &self.root
     }
 
     /// The absolute word position of the fabric's latency/fault RNG stream.
@@ -137,13 +136,13 @@ impl SimNet {
     /// recorded position produces the exact same latency samples and fault
     /// draws as the uninterrupted original.
     pub fn rng_word_position(&self) -> u64 {
-        self.rng.lock().word_position()
+        self.root.rng_word_position()
     }
 
     /// Seek the fabric's RNG to an absolute word position previously read
     /// via [`SimNet::rng_word_position`] (checkpoint restore).
     pub fn set_rng_word_position(&self, words: u64) {
-        self.rng.lock().set_word_position(words);
+        self.root.rng().set_word_position(words);
     }
 
     /// Replace the fault plan.
@@ -159,23 +158,19 @@ impl SimNet {
         } else {
             LatencyModel::clearnet()
         };
-        self.register_with(host, service, latency, None);
+        self.register_with(host, service, latency);
     }
 
-    /// Register a service with an explicit latency model and optional
-    /// server-side rate limit (requests/sec, burst).
+    /// Register a service with an explicit latency model.
     pub fn register_with<S: Service + 'static>(
         &self,
         host: &str,
         service: S,
         latency: LatencyModel,
-        rate_limit: Option<(f64, f64)>,
     ) {
-        let limiter = rate_limit
-            .map(|(rate, burst)| Mutex::new(TokenBucket::new(rate, burst, self.clock.now_us())));
         self.hosts.lock().insert(
             host.to_ascii_lowercase(),
-            HostEntry { service: Arc::new(service), latency, limiter },
+            HostEntry { service: Arc::new(service), latency },
         );
     }
 
@@ -219,7 +214,7 @@ impl SimNet {
             .map(|e| e.service.robots())
     }
 
-    /// Route one request through the fabric.
+    /// Route one request through the fabric, charged to the root lane.
     ///
     /// `peer` is the identity the server will see; `via_tor` marks overlay
     /// requests and `extra_latency_us` carries the circuit's overlay cost.
@@ -230,20 +225,18 @@ impl SimNet {
         via_tor: bool,
         extra_latency_us: u64,
     ) -> NetResult<Response> {
-        self.dispatch_in(req, peer, via_tor, extra_latency_us, None)
+        self.dispatch_in(req, peer, via_tor, extra_latency_us, &self.root)
     }
 
-    /// [`SimNet::dispatch`], but charging virtual time, RNG draws, and
-    /// log entries to `lane` when one is given (the parallel-crawl
-    /// path). With `lane: None` the shared clock/RNG/log are used — the
-    /// original single-threaded semantics, unchanged.
+    /// [`SimNet::dispatch`], charging virtual time, RNG draws and the log
+    /// entry to `lane` (the root lane, or a shard's).
     pub fn dispatch_in(
         &self,
         req: &Request,
         peer: &str,
         via_tor: bool,
         extra_latency_us: u64,
-        lane: Option<&Lane>,
+        lane: &Lane,
     ) -> NetResult<Response> {
         let host = req.url.host().to_string();
         if req.url.is_onion() && !via_tor {
@@ -251,40 +244,29 @@ impl SimNet {
         }
 
         // Sample latency and faults first so the RNG stream does not depend
-        // on registry state. Lock order: hosts → faults → rng (the lane RNG
-        // is a leaf — nothing else is acquired while it is held).
-        let (latency_us, reset, timeout, deadline) = {
+        // on registry state. Lock order: hosts → faults → lane RNG (a leaf:
+        // nothing else is acquired while it is held).
+        let (service, latency_us, reset, timeout, deadline) = {
             let hosts = self.hosts.lock();
             let Some(entry) = hosts.get(&host) else {
                 drop(hosts);
-                self.push_log_in(req, &host, None, via_tor, 0, lane);
+                push_log(lane, req, &host, via_tor, 0, None);
                 telemetry::with_recorder(|r| {
                     r.incr("net.faults", &[("kind", "unreachable")], 1);
                 });
                 return Err(NetError::HostUnreachable(host));
             };
             let faults = *self.faults.lock();
-            let draw = |rng: &mut ChaCha8Rng| {
-                let lat = entry.latency.sample(rng) + extra_latency_us;
-                let reset = faults.reset_prob > 0.0 && rng.random_bool(faults.reset_prob);
-                let timeout = faults.timeout_prob > 0.0 && rng.random_bool(faults.timeout_prob);
-                (lat, reset, timeout, faults.deadline_us)
-            };
-            match lane {
-                Some(l) => draw(&mut l.rng()),
-                None => draw(&mut self.rng.lock()),
-            }
+            let mut rng = lane.rng();
+            let latency_us = entry.latency.sample(&mut *rng) + extra_latency_us;
+            let reset = faults.reset_prob > 0.0 && rng.random_bool(faults.reset_prob);
+            let timeout = faults.timeout_prob > 0.0 && rng.random_bool(faults.timeout_prob);
+            (Arc::clone(&entry.service), latency_us, reset, timeout, faults.deadline_us)
         };
 
-        let advance = |delta_us: u64| match lane {
-            Some(l) => l.advance(delta_us),
-            None => {
-                self.clock.advance(delta_us);
-            }
-        };
         if timeout {
-            advance(deadline);
-            self.push_log_in(req, &host, None, via_tor, deadline, lane);
+            lane.clock().advance(deadline);
+            push_log(lane, req, &host, via_tor, deadline, None);
             telemetry::with_recorder(|r| {
                 r.incr("net.faults", &[("kind", "timeout")], 1);
             });
@@ -292,67 +274,18 @@ impl SimNet {
         }
         if reset {
             // A reset burns roughly half the would-be latency.
-            advance(latency_us / 2);
-            self.push_log_in(req, &host, None, via_tor, latency_us / 2, lane);
+            lane.clock().advance(latency_us / 2);
+            push_log(lane, req, &host, via_tor, latency_us / 2, None);
             telemetry::with_recorder(|r| {
                 r.incr("net.faults", &[("kind", "reset")], 1);
             });
             return Err(NetError::ConnectionReset(host));
         }
 
-        advance(latency_us);
-        let now_us = match lane {
-            Some(l) => l.now_us(),
-            None => self.clock.now_us(),
-        };
-
-        // Server-side throttling.
-        let throttled = {
-            let hosts = self.hosts.lock();
-            let entry = hosts.get(&host).ok_or_else(|| NetError::HostUnreachable(host.clone()))?;
-            match &entry.limiter {
-                Some(bucket) => !bucket.lock().try_acquire(now_us),
-                None => false,
-            }
-        };
-        if throttled {
-            let retry_at = {
-                let hosts = self.hosts.lock();
-                let entry = hosts.get(&host).expect("host vanished mid-request"); // conformance: allow(panic-policy) — host was inserted under this same lock
-                entry
-                    .limiter
-                    .as_ref()
-                    .map(|b| b.lock().next_allowed_at(now_us))
-                    .unwrap_or(now_us)
-            };
-            let resp = Response::status(Status::TooManyRequests)
-                .with_header("retry-after-us", (retry_at.saturating_sub(now_us)).to_string());
-            self.push_log_in(req, &host, Some(resp.status), via_tor, latency_us, lane);
-            telemetry::with_recorder(|r| {
-                r.incr("net.throttled", &[("host", &host)], 1);
-                let code = resp.status.code().to_string();
-                r.incr("net.requests", &[("host", &host), ("status", &code)], 1);
-                r.observe("net.latency_us", &[], latency_us);
-            });
-            return Ok(resp);
-        }
-
-        let service = {
-            let hosts = self.hosts.lock();
-            let entry = hosts.get(&host).ok_or_else(|| NetError::HostUnreachable(host.clone()))?;
-            Arc::clone(&entry.service)
-        };
+        let now_us = lane.clock().advance(latency_us);
         let ctx = RequestCtx { now_us, peer: peer.to_string(), via_tor };
         let resp = service.handle(req, &ctx);
-        self.push_log_sized_in(
-            req,
-            &host,
-            Some(resp.status),
-            via_tor,
-            latency_us,
-            resp.body.len(),
-            lane,
-        );
+        push_log(lane, req, &host, via_tor, latency_us, Some(&resp));
         telemetry::with_recorder(|r| {
             let code = resp.status.code().to_string();
             r.incr("net.requests", &[("host", &host), ("status", &code)], 1);
@@ -361,54 +294,12 @@ impl SimNet {
         Ok(resp)
     }
 
-    fn push_log_in(
-        &self,
-        req: &Request,
-        host: &str,
-        status: Option<Status>,
-        via_tor: bool,
-        latency_us: u64,
-        lane: Option<&Lane>,
-    ) {
-        self.push_log_sized_in(req, host, status, via_tor, latency_us, 0, lane);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_log_sized_in(
-        &self,
-        req: &Request,
-        host: &str,
-        status: Option<Status>,
-        via_tor: bool,
-        latency_us: u64,
-        response_bytes: usize,
-        lane: Option<&Lane>,
-    ) {
-        let entry = LogEntry {
-            at_us: match lane {
-                Some(l) => l.now_us(),
-                None => self.clock.now_us(),
-            },
-            host: host.to_string(),
-            target: req.url.target(),
-            method: req.method,
-            status,
-            via_tor,
-            latency_us,
-            response_bytes,
-        };
-        match lane {
-            Some(l) => l.push_log(entry),
-            None => self.log.lock().push(entry),
-        }
-    }
-
     /// Total response bytes served by `host` — the bandwidth ledger the
     /// collection-cost analysis reads.
     pub fn bytes_served_by(&self, host: &str) -> usize {
         let host = host.to_ascii_lowercase();
-        self.log
-            .lock()
+        self.root
+            .log()
             .iter()
             .filter(|e| e.host == host)
             .map(|e| e.response_bytes)
@@ -417,19 +308,42 @@ impl SimNet {
 
     /// Snapshot of the request log.
     pub fn log_snapshot(&self) -> Vec<LogEntry> {
-        self.log.lock().clone()
+        self.root.log().clone()
     }
 
     /// Total requests routed (including failures).
     pub fn request_count(&self) -> usize {
-        self.log.lock().len()
+        self.root.log().len()
     }
 
     /// Requests routed to one host.
     pub fn request_count_for(&self, host: &str) -> usize {
         let host = host.to_ascii_lowercase();
-        self.log.lock().iter().filter(|e| e.host == host).count()
+        self.root.log().iter().filter(|e| e.host == host).count()
     }
+}
+
+/// Append one request-log entry to `lane`, stamped with the lane's
+/// current time; `resp` is `None` for a request that got no response.
+fn push_log(
+    lane: &Lane,
+    req: &Request,
+    host: &str,
+    via_tor: bool,
+    latency_us: u64,
+    resp: Option<&Response>,
+) {
+    let entry = LogEntry {
+        at_us: lane.clock().now_us(),
+        host: host.to_string(),
+        target: req.url.target(),
+        method: req.method,
+        status: resp.map(|r| r.status),
+        via_tor,
+        latency_us,
+        response_bytes: resp.map_or(0, |r| r.body.len()),
+    };
+    lane.log().push(entry);
 }
 
 #[cfg(test)]
@@ -475,27 +389,10 @@ mod tests {
             "fast.com",
             FixedStatus(Status::Ok, ""),
             LatencyModel::Fixed { us: 1234 },
-            None,
         );
         let t0 = net.clock().now_us();
         net.dispatch(&req("http://fast.com/"), "c", false, 0).unwrap();
         assert_eq!(net.clock().now_us(), t0 + 1234);
-    }
-
-    #[test]
-    fn server_rate_limit_yields_429() {
-        let net = SimNet::new(3);
-        net.register_with(
-            "slow.com",
-            FixedStatus(Status::Ok, ""),
-            LatencyModel::Fixed { us: 1 },
-            Some((0.001, 1.0)), // effectively one request total
-        );
-        let a = net.dispatch(&req("http://slow.com/"), "c", false, 0).unwrap();
-        assert_eq!(a.status, Status::Ok);
-        let b = net.dispatch(&req("http://slow.com/"), "c", false, 0).unwrap();
-        assert_eq!(b.status, Status::TooManyRequests);
-        assert!(b.headers.get("retry-after-us").is_some());
     }
 
     #[test]

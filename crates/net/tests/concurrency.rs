@@ -20,7 +20,7 @@ impl Service for Echo {
 #[test]
 fn parallel_clients_share_one_fabric() {
     let net = SimNet::new(99);
-    net.register_with("echo.com", Echo, LatencyModel::Fixed { us: 10 }, None);
+    net.register_with("echo.com", Echo, LatencyModel::Fixed { us: 10 });
 
     const THREADS: usize = 8;
     const REQUESTS: usize = 50;
@@ -44,40 +44,6 @@ fn parallel_clients_share_one_fabric() {
     let elapsed = net.clock().now_us()
         - acctrade_net::clock::COLLECTION_START_UNIX as u64 * 1_000_000;
     assert_eq!(elapsed, expected_us);
-}
-
-#[test]
-fn server_rate_limit_is_consistent_under_contention() {
-    let net = SimNet::new(7);
-    // A bucket that only ever grants its initial burst (refill is
-    // negligible at fixed 0 latency).
-    net.register_with(
-        "limited.com",
-        Echo,
-        LatencyModel::Fixed { us: 0 },
-        Some((0.000_001, 10.0)),
-    );
-    let ok_count = AtomicUsize::new(0);
-    scope(|s| {
-        for t in 0..4 {
-            let net = std::sync::Arc::clone(&net);
-            let ok_count = &ok_count;
-            s.spawn(move || {
-                let client = Client::new(&net, &format!("c{t}"));
-                for i in 0..20 {
-                    let resp = client.get(&format!("http://limited.com/{t}/{i}")).unwrap();
-                    if resp.status == Status::Ok {
-                        ok_count.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        assert_eq!(resp.status, Status::TooManyRequests);
-                    }
-                }
-            });
-        }
-    });
-    // The burst is 10 tokens: exactly 10 requests succeed, however the
-    // threads interleave.
-    assert_eq!(ok_count.into_inner(), 10);
 }
 
 /// Deterministic many-thread stress on a *shared* token bucket: 8 worker
@@ -156,7 +122,7 @@ fn shared_token_bucket_conserves_tokens_across_eight_threads() {
 #[test]
 fn two_shards_on_one_host_respect_the_single_crawler_budget() {
     let net = SimNet::new(17);
-    net.register_with("market.example", Echo, LatencyModel::Fixed { us: 2_000 }, None);
+    net.register_with("market.example", Echo, LatencyModel::Fixed { us: 2_000 });
 
     let rate = 4.0; // the host's etiquette budget, requests per virtual second
     let burst = 4.0;

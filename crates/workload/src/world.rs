@@ -158,7 +158,6 @@ impl World {
                 market.host(),
                 MarketplaceSite::new(Arc::clone(state)),
                 LatencyModel::clearnet(),
-                None,
             );
         }
         for (&platform, store) in &self.stores {
@@ -166,7 +165,6 @@ impl World {
                 platform.api_host(),
                 acctrade_social::api::PlatformApi::new(Arc::clone(store)),
                 LatencyModel::api(),
-                None,
             );
         }
         for forum in &self.forums {

@@ -72,7 +72,9 @@
 //! resumable); `5` economy payment reconciliation failure (a settled
 //! order used a method its marketplace does not list); `6` ops
 //! reconciliation failure (the final `/metrics` scrape disagrees with
-//! `TELEMETRY_report.json`).
+//! `TELEMETRY_report.json`); `7` the campaign store failed: an I/O
+//! error (e.g. `--store-dir` is not a directory) or a damaged WAL that
+//! lost committed records (the store is left as it was found).
 //!
 //! `cargo test` runs this file's own tests, which call [`run`] in-process
 //! and check these exit codes and the artifacts behind them.
@@ -276,9 +278,10 @@ fn campaign_mode(args: &[String]) -> i32 {
 
     if let Some(k) = kill_at {
         eprintln!("campaign: running with an injected crash after {k} iterations ...");
-        let outcome = build_study()
-            .run_persisted_with_kill(&store_dir, k)
-            .expect("persisted run with kill");
+        let outcome = match build_study().run_persisted_with_kill(&store_dir, k) {
+            Ok(outcome) => outcome,
+            Err(err) => return store_failed(&store_dir, err),
+        };
         if outcome.is_none() {
             eprintln!(
                 "campaign: killed after {k} iterations; interrupted store left at {}",
@@ -293,18 +296,22 @@ fn campaign_mode(args: &[String]) -> i32 {
     let report = if resume {
         eprintln!("campaign: resuming interrupted store at {} ...", store_dir.display());
         let report = match Study::resume_from_with_workers(config, &store_dir, workers) {
+            Ok(report) => report,
             Err(StoreError::Invalid(refusal)) => {
                 eprintln!("campaign: cannot resume {}: {refusal}", store_dir.display());
                 return 2;
             }
-            resumed => resumed.expect("resume"),
+            Err(err) => return store_failed(&store_dir, err),
         };
         let recovery = report.recovery.as_ref().expect("resumed runs report recovery");
         eprintln!("campaign: {}", recovery.describe());
         report
     } else {
         eprintln!("campaign: clean persisted run into {} ...", store_dir.display());
-        build_study().run_persisted(&store_dir).expect("persisted run")
+        match build_study().run_persisted(&store_dir) {
+            Ok(report) => report,
+            Err(err) => return store_failed(&store_dir, err),
+        }
     };
 
     report.telemetry.validate().expect("campaign manifest must validate");
@@ -388,6 +395,12 @@ fn campaign_mode(args: &[String]) -> i32 {
         eprintln!("campaign: payment reconciliation OK");
     }
     0
+}
+
+/// Exit code 7: the campaign store failed with `err`.
+fn store_failed(store_dir: &Path, err: StoreError) -> i32 {
+    eprintln!("campaign: store {} failed: {err}", store_dir.display());
+    7
 }
 
 /// `--serve <addr>`: mount the seeded world on a real server and serve
@@ -634,6 +647,32 @@ mod tests {
         let nothing = run(&argv(&["--campaign", "--store-dir", &empty, "--resume", "--out", &out]));
         assert_eq!(nothing, 2, "no checkpoint");
         assert!(std::fs::read(&checkpoint).unwrap() == completed, "a refused resume wrote");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_or_unusable_stores_exit_7() {
+        let dir = scratch("damaged");
+        let (store, out) = (format!("{dir}/store"), format!("{dir}/out"));
+        assert_eq!(run(&argv(&["--campaign", "--store-dir", &store, "--kill-at", "1"])), 3);
+        // One flipped byte a third of the way into the first segment lies
+        // inside the committed prefix: recovery cannot salvage it all.
+        let segment = Path::new(&store).join("wal-00000.seg");
+        let mut damaged = std::fs::read(&segment).expect("the killed run left a segment");
+        let at = damaged.len() / 3;
+        damaged[at] ^= 0xFF;
+        std::fs::write(&segment, &damaged).unwrap();
+        let resumed = run(&argv(&["--campaign", "--store-dir", &store, "--resume", "--out", &out]));
+        assert_eq!(resumed, 7, "committed data lost");
+        assert!(std::fs::read(&segment).unwrap() == damaged, "the refused resume wrote");
+        // A regular file is no store: fresh, resumed or killed runs fail.
+        let file = format!("{dir}/not-a-directory");
+        std::fs::write(&file, "x").unwrap();
+        for extra in [&[][..], &["--resume"], &["--kill-at", "1"]] {
+            let mut args = argv(&["--campaign", "--store-dir", &file, "--out", &out]);
+            args.extend(argv(extra));
+            assert_eq!(run(&args), 7, "{extra:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

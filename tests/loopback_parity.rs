@@ -3,7 +3,7 @@
 //!
 //! The loopback leg is the serving layer end-to-end: the seeded world's
 //! sites are mounted on an `acctrade-httpd` server behind a virtual-host
-//! table, and the work-stealing campaign engine (4 workers) crawls them
+//! table, and the parallel campaign engine (4 workers) crawls them
 //! through `LoopbackTransport` — real sockets, real concurrency, real
 //! keep-alive. Loopback records carry wall-clock `collected_unix`
 //! stamps, so both sides are normalized with

@@ -1,4 +1,4 @@
-//! Parallel determinism: the sharded work-stealing crawl engine must be
+//! Parallel determinism: the sharded parallel crawl engine must be
 //! a pure performance knob, never an output knob.
 //!
 //! The honesty claim behind `--workers N` is sharp: the *entire*
@@ -7,9 +7,9 @@
 //! bytes themselves, the store manifest, and the final checkpoint
 //! (including its per-shard lane cursors) — must be byte-identical at
 //! every worker count. These tests pin that claim at workers ∈
-//! {1, 2, 4, 8}, then stress the work-stealing scheduler itself on 8
+//! {1, 2, 4, 8}, then stress the shared shard queue itself on 8
 //! threads and demand conservation: every frontier shard processed
-//! exactly once, no loss, no duplication, regardless of steal order.
+//! exactly once, no loss, no duplication, whichever worker pulls it.
 
 use acctrade::core::study::{Study, StudyConfig, StudyReport};
 use acctrade::crawler::{merge, steal};
@@ -127,7 +127,7 @@ fn engine_setup(seed: u64) -> std::sync::Arc<SimNet> {
     net
 }
 
-/// 8-thread work-stealing stress: conservation of the frontier. Every
+/// 8-thread shard-queue stress: conservation of the frontier. Every
 /// planned shard is executed exactly once — by someone.
 #[test]
 fn eight_worker_stress_conserves_every_shard() {
@@ -137,7 +137,7 @@ fn eight_worker_stress_conserves_every_shard() {
     for iteration in 0..3 {
         let run = steal::run_iteration(&client, iteration, 8, None);
         assert!(!run.killed);
-        assert!(run.shards_total > 8, "enough shards to exercise stealing");
+        assert!(run.shards_total > 8, "more shards than workers, so workers contend for the queue");
 
         // Exactly once: indices are a permutation of 0..shards_total,
         // and no (marketplace, chain) pair appears twice.
@@ -180,7 +180,7 @@ fn stressed_merge_matches_sequential_reference() {
         merge::merge_shards(run.outcomes.into_iter().map(|o| o.records).collect())
     };
     assert!(!sequential.is_empty());
-    assert_eq!(sequential, stressed, "steal order must never leak into the merged stream");
+    assert_eq!(sequential, stressed, "pull order must never leak into the merged stream");
 
     // And the merge really is ordered by the canonical key, not by
     // shard arrival: adjacent records never violate the total order.

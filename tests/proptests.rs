@@ -219,7 +219,7 @@ fn offer_from_seed(seed: u64) -> acctrade::crawler::OfferRecord {
 
 // Deterministic merge (`acctrade-crawler::merge`): the two properties
 // the parallel crawl engine's honesty rests on. If either fails, the
-// merged dataset would depend on steal/completion order and the
+// merged dataset would depend on shard completion order and the
 // byte-identity guarantee across worker counts would be a fluke.
 prop_check! {
     fn merge_is_invariant_under_shard_permutation(seeds in check::vec(check::any_u64(), 1..48),
