@@ -14,7 +14,8 @@
 #
 #   1. release build
 #   2. the full test suite (every workspace crate, plus the quickstart
-#      example's own tests), then the e2ebench workspace's own tests
+#      example's own tests) under a fresh TMPDIR that it must leave
+#      empty, then the e2ebench workspace's own tests
 #   3. clippy -D warnings (skipped gracefully when the toolchain ships
 #      without clippy)
 #   4. the parallel_crawl, httpd, economy, store, lint and scam_pipeline
@@ -45,8 +46,16 @@ run cargo build --release --offline || fail=1
 #    build never compiles it and an API change that breaks the benchmark
 #    would otherwise surface only at bench time. One test thread: each
 #    test checks that timed layers add up to the measured total, which
-#    concurrent tests competing for the CPUs upset.
-run cargo test -q --offline || fail=1
+#    concurrent tests competing for the CPUs upset. Tests must clean up
+#    after themselves: anything left in their TMPDIR fails the step.
+tests_tmp=$(mktemp -d)
+run env TMPDIR="$tests_tmp" cargo test -q --offline || fail=1
+if [ -n "$(ls -A "$tests_tmp")" ]; then
+    echo "ci: tests left files behind in TMPDIR:"
+    ls -A "$tests_tmp"
+    fail=1
+fi
+rm -rf "$tests_tmp"
 run cargo test --release --offline --manifest-path e2ebench/Cargo.toml -- --test-threads=1 || fail=1
 
 if [ "$fail" -ne 0 ]; then

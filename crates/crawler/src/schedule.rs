@@ -153,7 +153,7 @@ impl<'a> CrawlCampaign<'a> {
             }
 
             // Fold the shard lanes back into the fabric in canonical
-            // shard order: the shared log and clock end up identical no
+            // shard order: the shared count and clock end up identical no
             // matter which workers ran which shards.
             let net = self.client.net();
             let mut cursors = Vec::new();

@@ -10,8 +10,6 @@
 //!   [`json::JsonCodec`] trait (replaces `serde` + `serde_json`).
 //! * [`sync`] — non-poisoning `Mutex`/`RwLock` wrappers and scoped
 //!   threads (replaces `parking_lot` + `crossbeam::scope`).
-//! * [`bytes`] — cheaply cloneable shared byte buffers (replaces
-//!   `bytes`).
 //! * [`check`] — a property-testing harness with seeded generators and
 //!   shrinking (replaces `proptest`).
 //! * [`bench`] — a criterion-style benchmarking harness with JSON
@@ -24,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod bench;
-pub mod bytes;
 pub mod check;
 pub mod json;
 pub mod rng;

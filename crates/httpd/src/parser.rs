@@ -15,7 +15,6 @@
 
 use acctrade_net::http::{Headers, Method, Request};
 use acctrade_net::url::Url;
-use foundation::bytes::Bytes;
 use std::fmt;
 
 /// Hard ceiling on the request head (request line + headers) in bytes.
@@ -91,7 +90,7 @@ pub struct ParsedRequest {
     /// Headers in wire order (`host` included).
     pub headers: Headers,
     /// Body bytes (exactly `content-length` of them).
-    pub body: Bytes,
+    pub body: Vec<u8>,
     /// Logical host from the `host` header, lowercased, port stripped.
     pub host: String,
     /// Whether the connection may serve another request after this one.
@@ -113,27 +112,6 @@ impl ParsedRequest {
     }
 }
 
-/// Limits applied while parsing; defaults are the module constants.
-#[derive(Debug, Clone, Copy)]
-pub struct ParseLimits {
-    /// Max head bytes.
-    pub max_head_bytes: usize,
-    /// Max body bytes.
-    pub max_body_bytes: usize,
-    /// Max header lines.
-    pub max_headers: usize,
-}
-
-impl Default for ParseLimits {
-    fn default() -> Self {
-        ParseLimits {
-            max_head_bytes: MAX_HEAD_BYTES,
-            max_body_bytes: MAX_BODY_BYTES,
-            max_headers: MAX_HEADERS,
-        }
-    }
-}
-
 /// The incremental parser: an append buffer plus a resumable scan
 /// cursor, so a request torn across arbitrarily many reads costs one
 /// pass over each byte.
@@ -143,18 +121,12 @@ pub struct RequestParser {
     /// Bytes already scanned for the head terminator; the next scan
     /// resumes here (minus 3, to catch a terminator spanning feeds).
     scanned: usize,
-    limits: ParseLimits,
 }
 
 impl RequestParser {
-    /// A parser with default limits.
+    /// An empty parser.
     pub fn new() -> RequestParser {
         RequestParser::default()
-    }
-
-    /// A parser with explicit limits.
-    pub fn with_limits(limits: ParseLimits) -> RequestParser {
-        RequestParser { limits, ..RequestParser::default() }
     }
 
     /// Append bytes read from the connection.
@@ -185,21 +157,21 @@ impl RequestParser {
             .map(|i| i + from);
         let Some(head_end) = head_end else {
             self.scanned = self.buf.len();
-            if self.buf.len() > self.limits.max_head_bytes {
-                return Err(ParseError::HeadTooLarge(self.limits.max_head_bytes));
+            if self.buf.len() > MAX_HEAD_BYTES {
+                return Err(ParseError::HeadTooLarge(MAX_HEAD_BYTES));
             }
             return Ok(None);
         };
-        if head_end > self.limits.max_head_bytes {
-            return Err(ParseError::HeadTooLarge(self.limits.max_head_bytes));
+        if head_end > MAX_HEAD_BYTES {
+            return Err(ParseError::HeadTooLarge(MAX_HEAD_BYTES));
         }
 
-        let (request, content_length) = parse_head(&self.buf[..head_end], &self.limits)?;
+        let (request, content_length) = parse_head(&self.buf[..head_end])?;
 
         // Body: wait until every declared byte arrived.
         let body_start = head_end + 4;
-        if content_length > self.limits.max_body_bytes {
-            return Err(ParseError::BodyTooLarge(self.limits.max_body_bytes));
+        if content_length > MAX_BODY_BYTES {
+            return Err(ParseError::BodyTooLarge(MAX_BODY_BYTES));
         }
         if self.buf.len() < body_start + content_length {
             // Head is scanned; remember that so the next call only
@@ -207,7 +179,7 @@ impl RequestParser {
             self.scanned = head_end;
             return Ok(None);
         }
-        let body = Bytes::copy_from_slice(&self.buf[body_start..body_start + content_length]);
+        let body = self.buf[body_start..body_start + content_length].to_vec();
         self.buf.drain(..body_start + content_length);
         self.scanned = 0;
         Ok(Some(ParsedRequest { body, ..request }))
@@ -217,10 +189,7 @@ impl RequestParser {
 /// Parse the head (request line + header lines, no terminator).
 /// Returns the request with an empty body plus the declared
 /// content-length.
-fn parse_head(
-    head: &[u8],
-    limits: &ParseLimits,
-) -> Result<(ParsedRequest, usize), ParseError> {
+fn parse_head(head: &[u8]) -> Result<(ParsedRequest, usize), ParseError> {
     // HTTP heads are ASCII by construction; reject control bytes other
     // than the CR/LF structure and horizontal tabs in field values.
     if head.iter().any(|&b| b >= 0x80 || (b < 0x20 && b != b'\r' && b != b'\n' && b != b'\t')) {
@@ -268,8 +237,8 @@ fn parse_head(
             continue;
         }
         count += 1;
-        if count > limits.max_headers {
-            return Err(ParseError::TooManyHeaders(limits.max_headers));
+        if count > MAX_HEADERS {
+            return Err(ParseError::TooManyHeaders(MAX_HEADERS));
         }
         let Some((name, value)) = line.split_once(':') else {
             return Err(ParseError::BadHeader(clip(line)));
@@ -317,7 +286,7 @@ fn parse_head(
             target: target.to_string(),
             http11,
             headers,
-            body: Bytes::new(),
+            body: Vec::new(),
             host,
             keep_alive,
         },
@@ -373,7 +342,7 @@ mod tests {
             p.feed(chunk);
         }
         let r = p.next_request().unwrap().unwrap();
-        assert_eq!(r.body.as_ref(), b"hello");
+        assert_eq!(r.body, b"hello");
         assert_eq!(p.buffered(), 0);
     }
 
@@ -455,18 +424,30 @@ mod tests {
 
     #[test]
     fn oversized_head_and_body_are_rejected() {
-        let limits = ParseLimits { max_head_bytes: 64, max_body_bytes: 8, max_headers: 2 };
-        let mut p = RequestParser::with_limits(limits);
-        p.feed(&[b'a'; 65]);
-        assert!(matches!(p.next_request(), Err(ParseError::HeadTooLarge(64))));
+        assert_eq!(
+            parse_all(&[b'a'; MAX_HEAD_BYTES + 1]).unwrap_err(),
+            ParseError::HeadTooLarge(MAX_HEAD_BYTES)
+        );
 
-        let mut p = RequestParser::with_limits(limits);
-        p.feed(b"GET / HTTP/1.1\r\nhost: x\r\ncontent-length: 9\r\n\r\n");
-        assert!(matches!(p.next_request(), Err(ParseError::BodyTooLarge(8))));
+        // The declared length alone is refused; no body byte is awaited.
+        let head = format!(
+            "GET / HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
+        assert_eq!(
+            parse_all(head.as_bytes()).unwrap_err(),
+            ParseError::BodyTooLarge(MAX_BODY_BYTES)
+        );
 
-        let mut p = RequestParser::with_limits(limits);
-        p.feed(b"GET / HTTP/1.1\r\na: 1\r\nb: 2\r\nc: 3\r\n\r\n");
-        assert!(matches!(p.next_request(), Err(ParseError::TooManyHeaders(2))));
+        let mut head = String::from("GET / HTTP/1.1\r\nhost: x\r\n");
+        for i in 0..MAX_HEADERS {
+            head.push_str(&format!("x-{i}: {i}\r\n"));
+        }
+        head.push_str("\r\n");
+        assert_eq!(
+            parse_all(head.as_bytes()).unwrap_err(),
+            ParseError::TooManyHeaders(MAX_HEADERS)
+        );
     }
 
     #[test]

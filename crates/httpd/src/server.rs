@@ -329,7 +329,7 @@ fn serve_connection(
                     let mut resp =
                         resp.with_header("connection", if keep { "keep-alive" } else { "close" });
                     if req.method == Method::Head {
-                        resp.body = foundation::bytes::Bytes::new();
+                        resp.body.clear();
                     }
                     let write_started = Instant::now();
                     let write_ok = conn.write_all(&http::encode_response(&resp)).is_ok();

@@ -144,6 +144,7 @@ impl Transport for LoopbackTransport {
 
 /// Read one complete `content-length`-framed response.
 fn read_full_response(conn: &mut TcpStream) -> std::io::Result<Vec<u8>> {
+    let invalid = |msg| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
     let mut wire = Vec::with_capacity(1024);
     let mut buf = [0u8; 8192];
     let mut need: Option<usize> = None;
@@ -153,17 +154,18 @@ fn read_full_response(conn: &mut TcpStream) -> std::io::Result<Vec<u8>> {
                 return Ok(wire);
             }
         } else if let Some(head_end) = wire.windows(4).position(|w| w == b"\r\n\r\n") {
-            let body_len = content_length(&wire[..head_end]).ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "unframed response")
-            })?;
+            let body_len =
+                content_length(&wire[..head_end]).ok_or_else(|| invalid("unframed response"))?;
+            // The declared length is the peer's word: refuse it before
+            // adding, so no length can overflow the total.
+            if body_len > MAX_RESPONSE_BYTES {
+                return Err(invalid("response exceeds size ceiling"));
+            }
             need = Some(head_end + 4 + body_len);
             continue;
         }
         if wire.len() > MAX_RESPONSE_BYTES {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "response exceeds size ceiling",
-            ));
+            return Err(invalid("response exceeds size ceiling"));
         }
         let n = conn.read(&mut buf)?;
         if n == 0 {

@@ -22,7 +22,7 @@ fn same(a: &ParsedRequest, b: &ParsedRequest) -> bool {
         && a.http11 == b.http11
         && a.host == b.host
         && a.keep_alive == b.keep_alive
-        && a.body.as_ref() == b.body.as_ref()
+        && a.body == b.body
         && format!("{:?}", a.headers) == format!("{:?}", b.headers)
 }
 

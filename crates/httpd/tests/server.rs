@@ -1,6 +1,7 @@
 //! Integration tests: real sockets against the loopback server.
 
 use acctrade_httpd::{HostTable, HttpServer, LoopbackTransport, ServerConfig, TimeSource};
+use acctrade_net::error::NetError;
 use acctrade_net::http::{Request, Status};
 use acctrade_net::server::Router;
 use acctrade_net::transport::Transport;
@@ -211,6 +212,29 @@ fn loopback_transport_round_trips_and_pools() {
     let stats = server.stats();
     server.shutdown();
     assert_eq!(stats.snapshot().accepted, 1);
+}
+
+/// A peer's `content-length` is its word, not a size the client trusts:
+/// one past any buffer is a protocol error, not an overflow.
+#[test]
+fn loopback_transport_refuses_an_oversized_content_length() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let transport = LoopbackTransport::new(listener.local_addr().unwrap());
+    let peer = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        let mut request = Vec::new();
+        let mut buf = [0u8; 1024];
+        while !request.windows(4).any(|w| w == b"\r\n\r\n") {
+            let n = conn.read(&mut buf).expect("read the request");
+            assert!(n > 0, "the client hung up mid-request");
+            request.extend_from_slice(&buf[..n]);
+        }
+        conn.write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 18446744073709551615\r\n\r\n")
+            .expect("answer");
+    });
+    let err = transport.send(&Request::get(Url::http("test.example", "/hello"))).unwrap_err();
+    assert!(matches!(err, NetError::Protocol(_)), "{err:?}");
+    peer.join().expect("peer thread");
 }
 
 /// The drain guarantee: once a client has a served connection, shutdown

@@ -1,14 +1,13 @@
 //! HTTP request/response types and wire framing.
 //!
 //! The simulated services speak a compact HTTP/1.1 subset. Bodies are
-//! [`foundation::bytes::Bytes`] so large listing pages are shared, not copied, between
-//! the fabric's request log and the client.
+//! plain byte vectors: a rendered page moves into its response without a
+//! copy, and the wire codec builds and returns one buffer per message.
 
 // conformance: reactor-path — no blocking calls; the accept loop/parsers must never stall a lane
 
 use crate::error::{NetError, NetResult};
 use crate::url::Url;
-use foundation::bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
 
 /// HTTP method subset used by the study (the crawler only reads; forum
@@ -216,7 +215,7 @@ pub struct Request {
     /// Headers.
     pub headers: Headers,
     /// Body.
-    pub body: Bytes,
+    pub body: Vec<u8>,
 }
 
 impl Request {
@@ -226,7 +225,7 @@ impl Request {
             method: Method::Get,
             url,
             headers: Headers::new(),
-            body: Bytes::new(),
+            body: Vec::new(),
         }
     }
 
@@ -249,7 +248,7 @@ impl Request {
             method: Method::Post,
             url,
             headers,
-            body: Bytes::from(body),
+            body: body.into_bytes(),
         }
     }
 
@@ -288,7 +287,7 @@ pub struct Response {
     /// Headers.
     pub headers: Headers,
     /// Body.
-    pub body: Bytes,
+    pub body: Vec<u8>,
 }
 
 impl Response {
@@ -297,7 +296,7 @@ impl Response {
         Response {
             status: Status::Ok,
             headers: Headers::new(),
-            body: Bytes::new(),
+            body: Vec::new(),
         }
     }
 
@@ -306,7 +305,7 @@ impl Response {
         Response {
             status,
             headers: Headers::new(),
-            body: Bytes::new(),
+            body: Vec::new(),
         }
     }
 
@@ -327,21 +326,21 @@ impl Response {
     /// Set a plain-text body (content-type `text/plain`), builder-style.
     pub fn with_text(mut self, text: impl Into<String>) -> Response {
         self.headers.set("content-type", "text/plain; charset=utf-8");
-        self.body = Bytes::from(text.into());
+        self.body = text.into().into_bytes();
         self
     }
 
     /// Set an HTML body (content-type `text/html`), builder-style.
     pub fn with_html(mut self, html: impl Into<String>) -> Response {
         self.headers.set("content-type", "text/html; charset=utf-8");
-        self.body = Bytes::from(html.into());
+        self.body = html.into().into_bytes();
         self
     }
 
     /// Set a JSON body (content-type `application/json`), builder-style.
     pub fn with_json(mut self, json: impl Into<String>) -> Response {
         self.headers.set("content-type", "application/json");
-        self.body = Bytes::from(json.into());
+        self.body = json.into().into_bytes();
         self
     }
 
@@ -370,34 +369,34 @@ impl Response {
 /// routes on it), the request's own headers, and an explicit
 /// `content-length`. Inverse of the incremental parser in
 /// `acctrade-httpd`.
-pub fn encode_request(req: &Request) -> Bytes {
-    let mut buf = BytesMut::with_capacity(96 + req.body.len());
-    buf.put_slice(format!("{} {} HTTP/1.1\r\n", req.method, req.url.target()).as_bytes());
-    buf.put_slice(format!("host: {}\r\n", req.url.host()).as_bytes());
+pub fn encode_request(req: &Request) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(96 + req.body.len());
+    buf.extend_from_slice(format!("{} {} HTTP/1.1\r\n", req.method, req.url.target()).as_bytes());
+    buf.extend_from_slice(format!("host: {}\r\n", req.url.host()).as_bytes());
     for (n, v) in req.headers.iter() {
         if n.eq_ignore_ascii_case("host") || n.eq_ignore_ascii_case("content-length") {
             continue;
         }
-        buf.put_slice(format!("{n}: {v}\r\n").as_bytes());
+        buf.extend_from_slice(format!("{n}: {v}\r\n").as_bytes());
     }
-    buf.put_slice(format!("content-length: {}\r\n\r\n", req.body.len()).as_bytes());
-    buf.put_slice(&req.body);
-    buf.freeze()
+    buf.extend_from_slice(format!("content-length: {}\r\n\r\n", req.body.len()).as_bytes());
+    buf.extend_from_slice(&req.body);
+    buf
 }
 
 /// Serialize a response to HTTP/1.1 wire bytes. Used by the framing tests
 /// and the dataset exporter (raw captures).
-pub fn encode_response(resp: &Response) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + resp.body.len());
-    buf.put_slice(
+pub fn encode_response(resp: &Response) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64 + resp.body.len());
+    buf.extend_from_slice(
         format!("HTTP/1.1 {} {}\r\n", resp.status.code(), resp.status.reason()).as_bytes(),
     );
     for (n, v) in resp.headers.iter() {
-        buf.put_slice(format!("{n}: {v}\r\n").as_bytes());
+        buf.extend_from_slice(format!("{n}: {v}\r\n").as_bytes());
     }
-    buf.put_slice(format!("content-length: {}\r\n\r\n", resp.body.len()).as_bytes());
-    buf.put_slice(&resp.body);
-    buf.freeze()
+    buf.extend_from_slice(format!("content-length: {}\r\n\r\n", resp.body.len()).as_bytes());
+    buf.extend_from_slice(&resp.body);
+    buf
 }
 
 /// Parse HTTP/1.1 wire bytes back into a [`Response`]. Inverse of
@@ -433,14 +432,11 @@ pub fn decode_response(wire: &[u8]) -> NetResult<Response> {
         }
     }
     let body_start = header_end + 4;
-    if wire.len() < body_start + content_length {
-        return Err(err("truncated body"));
-    }
-    Ok(Response {
-        status,
-        headers,
-        body: Bytes::copy_from_slice(&wire[body_start..body_start + content_length]),
-    })
+    let body = body_start
+        .checked_add(content_length)
+        .and_then(|body_end| wire.get(body_start..body_end))
+        .ok_or_else(|| err("truncated body"))?;
+    Ok(Response { status, headers, body: body.to_vec() })
 }
 
 #[cfg(test)]
@@ -508,11 +504,20 @@ mod tests {
     }
 
     #[test]
+    fn decode_rejects_a_content_length_past_usize_max() {
+        let wire = b"HTTP/1.1 200 OK\r\ncontent-length: 18446744073709551615\r\n\r\n";
+        assert_eq!(
+            decode_response(wire).unwrap_err(),
+            NetError::Protocol("truncated body".into())
+        );
+    }
+
+    #[test]
     fn request_wire_framing() {
         let url = Url::parse("http://shop.com/offers?page=2").unwrap();
         let req = Request::get(url).with_header("user-agent", "ua/1");
         let wire = encode_request(&req);
-        let text = String::from_utf8(wire.to_vec()).unwrap();
+        let text = String::from_utf8(wire).unwrap();
         assert!(text.starts_with("GET /offers?page=2 HTTP/1.1\r\n"));
         assert!(text.contains("host: shop.com\r\n"));
         assert!(text.contains("user-agent: ua/1\r\n"));

@@ -13,16 +13,15 @@
 //!
 //! * a **virtual clock** ([`SimClock`]);
 //! * an **RNG substream** for latency and fault draws;
-//! * a **request log**.
+//! * a **request count**.
 //!
-//! The fabric's own clock, RNG and log are its *root lane*; a client
+//! The fabric's own clock, RNG and count are its *root lane*; a client
 //! that is not bound to a shard is charged there. Each crawl shard gets
 //! a lane of its own, seeded from the fabric seed and the shard's stable
 //! salt and starting at the shard's fixed start time: politeness waits,
 //! robots crawl-delays and latency charges advance the shard's clock,
-//! not the shared one, and its log entries are stamped with shard time
-//! and folded into the root log in a fixed shard order after all workers
-//! join ([`crate::sim::SimNet::absorb_lane`]).
+//! not the shared one, and its request count is folded into the root
+//! lane's after all workers join ([`crate::sim::SimNet::absorb_lane`]).
 //!
 //! The result: a shard's entire observable behaviour is a pure function
 //! of its inputs, independent of which worker runs it and when — which
@@ -30,11 +29,10 @@
 //! `workers=8` byte-identical to `workers=1`.
 
 use crate::clock::SimClock;
-use crate::sim::LogEntry;
 use foundation::rng::ChaCha8Rng;
 use foundation::sync::{Mutex, MutexGuard};
 
-/// One timeline: a virtual clock, an RNG substream and a request log.
+/// One timeline: a virtual clock, an RNG substream and a request count.
 /// Shard lanes are created by [`crate::sim::SimNet::lane`] and handed
 /// to a [`crate::client::Client`] via
 /// [`crate::client::Client::fork_for_shard`].
@@ -45,8 +43,8 @@ pub struct Lane {
     clock: SimClock,
     /// The lane's latency/fault RNG substream.
     rng: Mutex<ChaCha8Rng>,
-    /// Request-log entries charged to this lane.
-    log: Mutex<Vec<LogEntry>>,
+    /// Requests charged to this lane.
+    requests: Mutex<usize>,
 }
 
 impl Lane {
@@ -57,7 +55,7 @@ impl Lane {
             start_us: clock.now_us(),
             clock,
             rng: Mutex::new(rng),
-            log: Mutex::new(Vec::new()),
+            requests: Mutex::new(0),
         }
     }
 
@@ -83,9 +81,9 @@ impl Lane {
         self.rng.lock()
     }
 
-    /// Lock the lane's request log (fabric-internal).
-    pub(crate) fn log(&self) -> MutexGuard<'_, Vec<LogEntry>> {
-        self.log.lock()
+    /// Lock the lane's request count (fabric-internal).
+    pub(crate) fn requests(&self) -> MutexGuard<'_, usize> {
+        self.requests.lock()
     }
 }
 
@@ -94,7 +92,7 @@ impl std::fmt::Debug for Lane {
         f.debug_struct("Lane")
             .field("start_us", &self.start_us)
             .field("now_us", &self.clock.now_us())
-            .field("logged", &self.log.lock().len())
+            .field("requests", &*self.requests.lock())
             .finish()
     }
 }

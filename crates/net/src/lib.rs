@@ -13,7 +13,7 @@
 //! * [`url`] — a small, strict URL type (scheme/host/path/query) with `.onion`
 //!   host awareness.
 //! * [`http`] — request/response types, methods, status codes, headers, and
-//!   wire framing on top of [`foundation::bytes::Bytes`].
+//!   wire framing.
 //! * [`latency`] — seeded latency models (fixed, uniform, long-tailed) used by
 //!   the fabric to charge virtual time per request.
 //! * [`ratelimit`] — token-bucket rate limiting, used by the polite
@@ -31,9 +31,9 @@
 //!   redirects, politeness) that talks to the fabric.
 //! * [`sim`] — [`sim::SimNet`], the fabric itself: host registry, per-host
 //!   latency, fault injection, and its root lane (the shared clock, RNG
-//!   and request log).
+//!   and request count).
 //! * [`lane`] — deterministic execution lanes: a virtual clock, an RNG
-//!   substream and a request log. Every request is charged to one: the
+//!   substream and a request count. Every request is charged to one: the
 //!   fabric's root lane, or a crawl shard's own, which lets the parallel
 //!   crawl engine run shards on worker threads without scheduling order
 //!   ever leaking into the simulation.

@@ -1,9 +1,9 @@
 //! The network fabric: host registry, routing, latency accounting, fault
-//! injection, and a request log.
+//! injection, and a request count.
 
 use crate::clock::SimClock;
 use crate::error::{NetError, NetResult};
-use crate::http::{Request, Response, Status};
+use crate::http::{Request, Response};
 use crate::lane::Lane;
 use crate::latency::LatencyModel;
 use crate::robots::RobotsPolicy;
@@ -31,27 +31,6 @@ impl Default for FaultPlan {
     }
 }
 
-/// One entry in the fabric's request log.
-#[derive(Debug, Clone)]
-pub struct LogEntry {
-    /// At us.
-    pub at_us: u64,
-    /// Host.
-    pub host: String,
-    /// Target.
-    pub target: String,
-    /// Method.
-    pub method: crate::http::Method,
-    /// Status.
-    pub status: Option<Status>,
-    /// Via tor.
-    pub via_tor: bool,
-    /// Latency us.
-    pub latency_us: u64,
-    /// Response bytes.
-    pub response_bytes: usize,
-}
-
 struct HostEntry {
     service: Arc<dyn Service>,
     latency: LatencyModel,
@@ -61,11 +40,10 @@ struct HostEntry {
 ///
 /// `SimNet` owns the host registry, the fault plan and its *root lane*:
 /// the shared virtual clock, a seeded RNG for latency/fault sampling,
-/// and an append-only request log used by the analyses ("how many
-/// requests did the crawl issue", "how long did the underground
-/// collection take"). Every request is charged to a [`Lane`]: the root
-/// lane, or a shard lane whose log is folded back by
-/// [`SimNet::absorb_lane`].
+/// and the count of requests routed ("how many requests did the crawl
+/// issue", "how long did the underground collection take"). Every
+/// request is charged to a [`Lane`]: the root lane, or a shard lane
+/// whose count is folded back by [`SimNet::absorb_lane`].
 pub struct SimNet {
     seed: u64,
     root: Arc<Lane>,
@@ -108,14 +86,13 @@ impl SimNet {
         Arc::new(Lane::new(SimClock::at_us(start_us), ChaCha8Rng::seed_from_u64(stream)))
     }
 
-    /// Fold a finished shard lane back into the fabric: drain its request
-    /// log into the root log and advance the shared clock to the lane's
-    /// clock (never backwards). Callers absorb lanes in a fixed shard
-    /// order after all workers join, so the shared log's contents are
-    /// independent of worker scheduling.
+    /// Fold a finished shard lane back into the fabric: move its request
+    /// count into the root lane's and advance the shared clock to the
+    /// lane's clock (never backwards). Callers absorb lanes after all
+    /// workers join.
     pub fn absorb_lane(&self, lane: &Lane) {
-        let entries = std::mem::take(&mut *lane.log());
-        self.root.log().extend(entries);
+        let requests = std::mem::take(&mut *lane.requests());
+        *self.root.requests() += requests;
         self.clock().advance_to(lane.clock().now_us());
     }
 
@@ -228,8 +205,8 @@ impl SimNet {
         self.dispatch_in(req, peer, via_tor, extra_latency_us, &self.root)
     }
 
-    /// [`SimNet::dispatch`], charging virtual time, RNG draws and the log
-    /// entry to `lane` (the root lane, or a shard's).
+    /// [`SimNet::dispatch`], charging virtual time, RNG draws and the
+    /// request to `lane` (the root lane, or a shard's).
     pub fn dispatch_in(
         &self,
         req: &Request,
@@ -242,6 +219,7 @@ impl SimNet {
         if req.url.is_onion() && !via_tor {
             return Err(NetError::TorRequired(host));
         }
+        *lane.requests() += 1;
 
         // Sample latency and faults first so the RNG stream does not depend
         // on registry state. Lock order: hosts → faults → lane RNG (a leaf:
@@ -250,7 +228,6 @@ impl SimNet {
             let hosts = self.hosts.lock();
             let Some(entry) = hosts.get(&host) else {
                 drop(hosts);
-                push_log(lane, req, &host, via_tor, 0, None);
                 telemetry::with_recorder(|r| {
                     r.incr("net.faults", &[("kind", "unreachable")], 1);
                 });
@@ -266,7 +243,6 @@ impl SimNet {
 
         if timeout {
             lane.clock().advance(deadline);
-            push_log(lane, req, &host, via_tor, deadline, None);
             telemetry::with_recorder(|r| {
                 r.incr("net.faults", &[("kind", "timeout")], 1);
             });
@@ -275,7 +251,6 @@ impl SimNet {
         if reset {
             // A reset burns roughly half the would-be latency.
             lane.clock().advance(latency_us / 2);
-            push_log(lane, req, &host, via_tor, latency_us / 2, None);
             telemetry::with_recorder(|r| {
                 r.incr("net.faults", &[("kind", "reset")], 1);
             });
@@ -285,7 +260,6 @@ impl SimNet {
         let now_us = lane.clock().advance(latency_us);
         let ctx = RequestCtx { now_us, peer: peer.to_string(), via_tor };
         let resp = service.handle(req, &ctx);
-        push_log(lane, req, &host, via_tor, latency_us, Some(&resp));
         telemetry::with_recorder(|r| {
             let code = resp.status.code().to_string();
             r.incr("net.requests", &[("host", &host), ("status", &code)], 1);
@@ -294,62 +268,16 @@ impl SimNet {
         Ok(resp)
     }
 
-    /// Total response bytes served by `host` — the bandwidth ledger the
-    /// collection-cost analysis reads.
-    pub fn bytes_served_by(&self, host: &str) -> usize {
-        let host = host.to_ascii_lowercase();
-        self.root
-            .log()
-            .iter()
-            .filter(|e| e.host == host)
-            .map(|e| e.response_bytes)
-            .sum()
-    }
-
-    /// Snapshot of the request log.
-    pub fn log_snapshot(&self) -> Vec<LogEntry> {
-        self.root.log().clone()
-    }
-
     /// Total requests routed (including failures).
     pub fn request_count(&self) -> usize {
-        self.root.log().len()
+        *self.root.requests()
     }
-
-    /// Requests routed to one host.
-    pub fn request_count_for(&self, host: &str) -> usize {
-        let host = host.to_ascii_lowercase();
-        self.root.log().iter().filter(|e| e.host == host).count()
-    }
-}
-
-/// Append one request-log entry to `lane`, stamped with the lane's
-/// current time; `resp` is `None` for a request that got no response.
-fn push_log(
-    lane: &Lane,
-    req: &Request,
-    host: &str,
-    via_tor: bool,
-    latency_us: u64,
-    resp: Option<&Response>,
-) {
-    let entry = LogEntry {
-        at_us: lane.clock().now_us(),
-        host: host.to_string(),
-        target: req.url.target(),
-        method: req.method,
-        status: resp.map(|r| r.status),
-        via_tor,
-        latency_us,
-        response_bytes: resp.map_or(0, |r| r.body.len()),
-    };
-    lane.log().push(entry);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::Method;
+    use crate::http::Status;
     use crate::server::FixedStatus;
     use crate::url::Url;
 
@@ -415,25 +343,12 @@ mod tests {
     fn log_records_every_attempt() {
         let net = SimNet::new(5);
         net.register("a.com", FixedStatus(Status::Ok, ""));
+        net.register("c.onion", FixedStatus(Status::Ok, ""));
         net.dispatch(&req("http://a.com/1"), "c", false, 0).unwrap();
         net.dispatch(&req("http://b.com/2"), "c", false, 0).unwrap_err();
-        let log = net.log_snapshot();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].host, "a.com");
-        assert_eq!(log[0].status, Some(Status::Ok));
-        assert_eq!(log[0].method, Method::Get);
-        assert_eq!(log[1].status, None);
-        assert_eq!(net.request_count_for("a.com"), 1);
-    }
-
-    #[test]
-    fn log_tracks_response_bytes() {
-        let net = SimNet::new(9);
-        net.register("big.com", FixedStatus(Status::Ok, "0123456789"));
-        net.dispatch(&req("http://big.com/a"), "c", false, 0).unwrap();
-        net.dispatch(&req("http://big.com/b"), "c", false, 0).unwrap();
-        assert_eq!(net.bytes_served_by("big.com"), 20);
-        assert_eq!(net.bytes_served_by("other.com"), 0);
+        assert_eq!(net.request_count(), 2, "a served and an unreachable request");
+        net.dispatch(&req("http://c.onion/"), "c", false, 0).unwrap_err();
+        assert_eq!(net.request_count(), 2, "refused before routing: not counted");
     }
 
     #[test]

@@ -30,10 +30,10 @@ prop_check! {
         let resp = Response {
             status: Status::Ok,
             headers: Default::default(),
-            body: foundation::bytes::Bytes::from(body.clone()),
+            body: body.clone(),
         };
         let back = decode_response(&encode_response(&resp)).unwrap();
-        assert_eq!(back.body.as_ref(), body.as_slice());
+        assert_eq!(back.body, body);
         assert_eq!(back.status, Status::Ok);
     }
 

@@ -529,7 +529,6 @@ mod tests {
     use super::run;
     use acctrade::telemetry::{self, RunManifest};
     use std::path::{Path, PathBuf};
-    use std::sync::OnceLock;
 
     /// A fresh scratch directory, as the string the CLI takes.
     fn scratch(tag: &str) -> String {
@@ -548,23 +547,6 @@ mod tests {
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
     }
 
-    /// The clean `--ops` campaign: its exit code and `--out` directory.
-    /// Run once and shared, because the kill/resume test must reproduce
-    /// its artifacts byte for byte.
-    fn clean_ops_run() -> &'static (i32, PathBuf) {
-        static RUN: OnceLock<(i32, PathBuf)> = OnceLock::new();
-        RUN.get_or_init(|| {
-            let dir = scratch("ops");
-            let (store, out) = (format!("{dir}/store"), format!("{dir}/out"));
-            let trace = format!("{out}/TRACE_report.json");
-            let code = run(&argv(&[
-                "--campaign", "--ops", "127.0.0.1:0", "--trace-out", &trace,
-                "--store-dir", &store, "--out", &out,
-            ]));
-            (code, PathBuf::from(out))
-        })
-    }
-
     #[test]
     fn default_run_exports_a_valid_manifest() {
         let path = acctrade::output::artifact(telemetry::REPORT_FILE);
@@ -575,25 +557,41 @@ mod tests {
         manifest.validate().expect("manifest validates");
     }
 
+    /// A clean `--ops` campaign under `dir`: its exit code and `--out`
+    /// directory.
+    fn clean_ops_run(dir: &str) -> (i32, PathBuf) {
+        let (store, out) = (format!("{dir}/clean-store"), format!("{dir}/clean"));
+        let trace = format!("{out}/TRACE_report.json");
+        let code = run(&argv(&[
+            "--campaign", "--ops", "127.0.0.1:0", "--trace-out", &trace,
+            "--store-dir", &store, "--out", &out,
+        ]));
+        (code, PathBuf::from(out))
+    }
+
     #[test]
     fn ops_campaign_reconciles_and_writes_its_artifacts() {
-        let (code, out) = clean_ops_run();
-        assert_eq!(*code, 0, "the final /metrics scrape must reconcile with the manifest");
-        let metrics = read(out, "OPS_metrics.prom");
+        let dir = scratch("ops");
+        let (code, out) = clean_ops_run(&dir);
+        assert_eq!(code, 0, "the final /metrics scrape must reconcile with the manifest");
+        let metrics = read(&out, "OPS_metrics.prom");
         assert!(metrics.contains("source=\"campaign\""), "campaign samples scraped");
         assert!(metrics.contains("source=\"server\""), "server samples scraped");
         for name in ["OPS_statz.json", "OPS_tracez.json"] {
-            assert!(!read(out, name).is_empty(), "{name} is empty");
+            assert!(!read(&out, name).is_empty(), "{name} is empty");
         }
         for name in ["TRACE_wall.json", "TRACE_report.json"] {
-            telemetry::validate_trace(&read(out, name))
+            telemetry::validate_trace(&read(&out, name))
                 .unwrap_or_else(|e| panic!("{name} is not a valid trace: {e}"));
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn killed_campaign_resumes_byte_identical_to_the_clean_run() {
         let dir = scratch("crash");
+        let (code, clean) = clean_ops_run(&dir);
+        assert_eq!(code, 0);
         let (store, out) = (format!("{dir}/store"), format!("{dir}/out"));
         let trace = format!("{out}/TRACE_report.json");
         let killed = run(&argv(&["--campaign", "--store-dir", &store, "--kill-at", "2"]));
@@ -603,9 +601,8 @@ mod tests {
             "--trace-out", &trace, "--out", &out,
         ]));
         assert_eq!(resumed, 0);
-        let (_, clean) = clean_ops_run();
         for name in ["dataset.json", "TELEMETRY_deterministic.txt", "TRACE_report.json"] {
-            assert!(read(clean, name) == read(Path::new(&out), name), "{name} differs after resume");
+            assert!(read(&clean, name) == read(Path::new(&out), name), "{name} differs after resume");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
