@@ -18,8 +18,8 @@
 #      empty, then the e2ebench workspace's own tests
 #   3. clippy -D warnings (skipped gracefully when the toolchain ships
 #      without clippy)
-#   4. the parallel_crawl, httpd, economy, store, lint and scam_pipeline
-#      benches record into target/BENCH_report.json, which must pass
+#   4. the parallel_crawl, httpd, economy, store, lint, scam_pipeline and
+#      extract benches record into target/BENCH_report.json, which must pass
 #      validate_manifest's schema check and sit inside BENCH_budget.json
 #      (httpd records keep-alive req/s twice: plain, and with an ops plane
 #      mounted so the trace rings are on the request path) — with a
@@ -85,10 +85,10 @@ rm -f target/BENCH_report.json
 echo
 echo "==> BENCH_REPORT_PATH=target/BENCH_report.json cargo bench --offline -p acctrade-bench" \
      "--bench parallel_crawl --bench httpd --bench economy --bench store --bench lint" \
-     "--bench scam_pipeline"
+     "--bench scam_pipeline --bench extract"
 BENCH_REPORT_PATH="$PWD/target/BENCH_report.json" cargo bench --offline -p acctrade-bench \
     --bench parallel_crawl --bench httpd --bench economy --bench store --bench lint \
-    --bench scam_pipeline || fail=1
+    --bench scam_pipeline --bench extract || fail=1
 run cargo run --release --offline -p acctrade-telemetry --bin validate_manifest -- \
     target/BENCH_report.json || fail=1
 run cargo run --release --offline -p acctrade-bench --bin bench_budget -- \

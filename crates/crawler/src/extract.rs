@@ -6,9 +6,10 @@
 //! index into offer links plus a next-page link.
 
 use crate::record::OfferRecord;
-use acctrade_html::{parse, Document, Selector};
+use acctrade_html::{parse, Document, ElementRef, Selector};
 use acctrade_market::config::MarketplaceId;
 use acctrade_market::site::Dialect;
+use std::sync::OnceLock;
 
 /// Links discovered on a listing-index page.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,10 +24,9 @@ pub struct IndexPage {
 /// for one pass: any link to `/offer/` counts, `a.next` paginates).
 pub fn parse_index(html: &str) -> IndexPage {
     let doc = parse(html);
-    let links = doc.select(&Selector::parse("a").expect("static selector")); // conformance: allow(panic-policy) — selector literal is valid
     let mut offer_paths = Vec::new();
     let mut next_path = None;
-    for a in links {
+    for a in doc.select(links()) {
         let Some(href) = a.attr("href") else { continue };
         if href.starts_with("/offer/") {
             offer_paths.push(href.to_string());
@@ -39,13 +39,25 @@ pub fn parse_index(html: &str) -> IndexPage {
 
 /// Parse a storefront page into the platform listing paths it links.
 pub fn parse_storefront(html: &str) -> Vec<String> {
-    let doc = parse(html);
-    doc.select(&Selector::parse("a").expect("static selector")) // conformance: allow(panic-policy) — selector literal is valid
+    hrefs_under(html, "/listings/")
+}
+
+/// Every link target on the page that starts with `prefix`, in document
+/// order.
+pub(crate) fn hrefs_under(html: &str, prefix: &str) -> Vec<String> {
+    parse(html)
+        .select(links())
         .into_iter()
         .filter_map(|a| a.attr("href"))
-        .filter(|h| h.starts_with("/listings/"))
-        .map(|h| h.to_string())
+        .filter(|h| h.starts_with(prefix))
+        .map(str::to_string)
         .collect()
+}
+
+/// The `a` selector, parsed once per process.
+fn links() -> &'static Selector {
+    static LINKS: OnceLock<Selector> = OnceLock::new();
+    LINKS.get_or_init(|| sel("a"))
 }
 
 /// Parse a price string like `$1,234.50` into USD.
@@ -111,37 +123,61 @@ fn sel(s: &str) -> Selector {
     Selector::parse(s).expect("static selector") // conformance: allow(panic-policy) — callers pass valid selector literals, exercised in tests
 }
 
-fn text_of(doc: &Document, selector: &str) -> Option<String> {
-    doc.select_first(&sel(selector)).map(|e| e.text()).filter(|t| !t.is_empty())
+/// Parse a fixed selector list once per process into `cell`.
+pub(crate) fn compiled<const N: usize>(
+    cell: &'static OnceLock<[Selector; N]>,
+    sources: [&str; N],
+) -> &'static [Selector; N] {
+    cell.get_or_init(|| sources.map(sel))
+}
+
+/// A field's text: the first match's, or `None` when that text is empty.
+pub(crate) fn text_of(found: Option<ElementRef<'_>>) -> Option<String> {
+    found.map(|e| e.text()).filter(|t| !t.is_empty())
+}
+
+/// The first match's `href`.
+fn href_of(found: Option<ElementRef<'_>>) -> Option<String> {
+    found.and_then(|e| e.attr("href")).map(str::to_string)
 }
 
 fn extract_cards(doc: &Document, r: &mut OfferRecord) {
-    r.title = text_of(doc, "h1.offer-title").unwrap_or_default();
-    r.price_usd = text_of(doc, "span.price").as_deref().and_then(parse_price);
-    r.platform = text_of(doc, "span.platform");
-    r.seller = doc.select_first(&sel(".seller a")).map(|e| e.text());
-    r.seller_country = text_of(doc, ".seller .country");
-    r.category = text_of(doc, "span.category");
-    r.claimed_followers = text_of(doc, "span.followers").and_then(|t| t.parse().ok());
-    r.claims_verified = doc.select_first(&sel("span.badge-verified")).is_some();
-    r.monthly_revenue_usd = text_of(doc, "span.revenue").as_deref().and_then(parse_price);
-    r.income_source = text_of(doc, "span.income-source");
-    r.description = text_of(doc, "div.description");
-    r.profile_link = doc
-        .select_first(&sel("a.profile-link"))
-        .and_then(|e| e.attr("href").map(str::to_string));
+    static SELECTORS: OnceLock<[Selector; 12]> = OnceLock::new();
+    let selectors = compiled(
+        &SELECTORS,
+        [
+            "h1.offer-title", "span.price", "span.platform", ".seller a", ".seller .country",
+            "span.category", "span.followers", "span.badge-verified", "span.revenue",
+            "span.income-source", "div.description", "a.profile-link",
+        ],
+    );
+    let [title, price, platform, seller, country, category, followers, verified, revenue, income,
+        description, profile] = selectors.each_ref().map(|s| doc.select_first(s));
+    r.title = text_of(title).unwrap_or_default();
+    r.price_usd = text_of(price).as_deref().and_then(parse_price);
+    r.platform = text_of(platform);
+    r.seller = seller.map(|e| e.text());
+    r.seller_country = text_of(country);
+    r.category = text_of(category);
+    r.claimed_followers = text_of(followers).and_then(|t| t.parse().ok());
+    r.claims_verified = verified.is_some();
+    r.monthly_revenue_usd = text_of(revenue).as_deref().and_then(parse_price);
+    r.income_source = text_of(income);
+    r.description = text_of(description);
+    r.profile_link = href_of(profile);
 }
 
 fn extract_table(doc: &Document, r: &mut OfferRecord) {
-    r.title = text_of(doc, "h1").unwrap_or_default();
+    static SELECTORS: OnceLock<[Selector; 3]> = OnceLock::new();
+    let selectors = compiled(&SELECTORS, ["h1", "#offer-fields", "a.profile"]);
+    let [title, fields, profile] = selectors.each_ref().map(|s| doc.select_first(s));
+    r.title = text_of(title).unwrap_or_default();
     // <dl> of dt/dd pairs.
-    let dl = doc.select_first(&sel("#offer-fields"));
-    if let Some(dl) = dl {
+    if let Some(dl) = fields {
         let children = dl.children();
-        let mut i = 0;
-        while i + 1 < children.len() {
-            let key = children[i].text();
-            let value = children[i + 1].text();
+        for pair in children.chunks_exact(2) {
+            let key = pair[0].text();
+            let value = pair[1].text();
             match key.as_str() {
                 "Price" => r.price_usd = parse_price(&value),
                 "Platform" => r.platform = Some(value),
@@ -155,42 +191,45 @@ fn extract_table(doc: &Document, r: &mut OfferRecord) {
                 "Description" => r.description = Some(value),
                 _ => {}
             }
-            i += 2;
         }
     }
-    r.profile_link = doc
-        .select_first(&sel("a.profile"))
-        .and_then(|e| e.attr("href").map(str::to_string));
+    r.profile_link = href_of(profile);
 }
 
 fn extract_list(doc: &Document, r: &mut OfferRecord) {
-    let field = |name: &str| {
-        doc.select_first(&sel(&format!("[data-field={name}]")))
-            .map(|e| e.text())
-            .filter(|t| !t.is_empty())
-    };
-    r.title = field("title").unwrap_or_default();
-    r.price_usd = field("price").as_deref().and_then(parse_price);
-    r.platform = field("platform");
-    r.seller = field("seller");
-    r.seller_country = field("country");
-    r.category = field("category");
-    r.claimed_followers = field("followers").and_then(|t| t.parse().ok());
-    r.claims_verified = field("verified").as_deref() == Some("true");
-    r.monthly_revenue_usd = field("revenue").as_deref().and_then(parse_price);
-    r.income_source = field("income-source");
-    r.description = field("description");
-    r.profile_link = doc
-        .select_first(&sel("a[data-field=profile]"))
-        .and_then(|e| e.attr("href").map(str::to_string));
+    static SELECTORS: OnceLock<[Selector; 12]> = OnceLock::new();
+    let selectors = compiled(
+        &SELECTORS,
+        [
+            "[data-field=title]", "[data-field=price]", "[data-field=platform]",
+            "[data-field=seller]", "[data-field=country]", "[data-field=category]",
+            "[data-field=followers]", "[data-field=verified]", "[data-field=revenue]",
+            "[data-field=income-source]", "[data-field=description]", "a[data-field=profile]",
+        ],
+    );
+    let [title, price, platform, seller, country, category, followers, verified, revenue, income,
+        description, profile] = selectors.each_ref().map(|s| doc.select_first(s));
+    r.title = text_of(title).unwrap_or_default();
+    r.price_usd = text_of(price).as_deref().and_then(parse_price);
+    r.platform = text_of(platform);
+    r.seller = text_of(seller);
+    r.seller_country = text_of(country);
+    r.category = text_of(category);
+    r.claimed_followers = text_of(followers).and_then(|t| t.parse().ok());
+    r.claims_verified = text_of(verified).as_deref() == Some("true");
+    r.monthly_revenue_usd = text_of(revenue).as_deref().and_then(parse_price);
+    r.income_source = text_of(income);
+    r.description = text_of(description);
+    r.profile_link = href_of(profile);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acctrade_market::config::ALL_MARKETPLACES;
     use acctrade_market::lifecycle::MarketState;
-    use acctrade_market::listing::{Listing, Monetization};
-    use acctrade_market::seller::Seller;
+    use acctrade_market::listing::{Listing, ListingId, Monetization};
+    use acctrade_market::seller::{Seller, SellerId};
     use acctrade_market::site::MarketplaceSite;
     use acctrade_net::http::Request;
     use acctrade_net::server::{RequestCtx, Service};
@@ -199,33 +238,101 @@ mod tests {
     use foundation::sync::RwLock;
     use std::sync::Arc;
 
-    /// Render a real offer page for a market and extract it back —
-    /// roundtrip through the genuine site templates.
-    fn roundtrip(market: MarketplaceId) -> OfferRecord {
+    /// A seller in Turkey and a listing with every optional field set.
+    fn full_listing(market: MarketplaceId) -> (Seller, Listing) {
+        let mut seller = Seller::new(SellerId(1), "megaseller");
+        seller.country = Some("Turkey".into());
+        let mut l = Listing::new(ListingId(1), market, Platform::TikTok, seller.id, 1_234.5);
+        l.title = "TikTok dance page 2.1M".into();
+        l.category = Some("Humor/Memes".into());
+        l.claimed_followers = Some(2_100_000);
+        l.claims_verified = true;
+        l.description = Some("Fresh and ready for promotion.".into());
+        l.monetization = Some(Monetization {
+            monthly_revenue_usd: 136.0,
+            income_source: "Google AdSense".into(),
+        });
+        l.profile_link = Some("http://tiktok.example/dance.page99".into());
+        (seller, l)
+    }
+
+    /// A seller with no country and a listing with every optional field
+    /// absent.
+    fn sparse_listing(market: MarketplaceId) -> (Seller, Listing) {
+        let seller = Seller::new(SellerId(1), "quietseller");
+        let mut l = Listing::new(ListingId(1), market, Platform::Facebook, seller.id, 7.0);
+        l.title = "FB group 12k".into();
+        (seller, l)
+    }
+
+    /// Post one listing on a fresh market, render its offer page through
+    /// the genuine site templates and extract it back.
+    fn render_and_extract(seller: &Seller, listing: &Listing) -> OfferRecord {
+        let market = listing.marketplace;
         let state = Arc::new(RwLock::new(MarketState::new(market)));
         {
             let mut s = state.write();
-            let sid = s.next_seller_id();
-            let mut seller = Seller::new(sid, "megaseller");
-            seller.country = Some("Turkey".into());
-            s.add_seller(seller);
-            let lid = s.next_listing_id();
-            let mut l = Listing::new(lid, market, Platform::TikTok, sid, 1_234.5);
-            l.title = "TikTok dance page 2.1M".into();
-            l.category = Some("Humor/Memes".into());
-            l.claimed_followers = Some(2_100_000);
-            l.description = Some("Fresh and ready for promotion.".into());
-            l.monetization = Some(Monetization {
-                monthly_revenue_usd: 136.0,
-                income_source: "Google AdSense".into(),
-            });
-            l.profile_link = Some("http://tiktok.example/dance.page99".into());
-            s.add_listing(l);
+            s.add_seller(seller.clone());
+            s.add_listing(listing.clone());
         }
         let site = MarketplaceSite::new(state);
-        let req = Request::get(Url::parse(&format!("http://{}/offer/1", market.host())).unwrap());
-        let resp = site.handle(&req, &RequestCtx::test());
+        let url = Url::parse(&format!("http://{}{}", market.host(), listing.offer_path())).unwrap();
+        let resp = site.handle(&Request::get(url), &RequestCtx::test());
         parse_offer(market, &resp.text())
+    }
+
+    fn roundtrip(market: MarketplaceId) -> OfferRecord {
+        let (seller, listing) = full_listing(market);
+        render_and_extract(&seller, &listing)
+    }
+
+    /// Every field of the record is what the page was rendered from.
+    fn assert_extracted(seller: &Seller, l: &Listing, r: &OfferRecord) {
+        let market = l.marketplace;
+        let shown = market.shows_sellers();
+        let m = l.monetization.as_ref();
+        let want = OfferRecord {
+            marketplace: market.name().to_string(),
+            offer_url: String::new(),
+            title: l.title.clone(),
+            seller: shown.then(|| seller.username.clone()),
+            seller_country: seller.country.clone().filter(|_| shown),
+            price_usd: Some(l.price_usd),
+            platform: Some(l.platform.name().to_string()),
+            category: l.category.clone(),
+            claimed_followers: l.claimed_followers,
+            claims_verified: l.claims_verified,
+            monthly_revenue_usd: m.map(|m| m.monthly_revenue_usd),
+            income_source: m.map(|m| m.income_source.clone()),
+            description: l.description.clone(),
+            profile_link: l.profile_link.clone(),
+            handle: l.profile_link.as_ref().map(|_| "dance.page99".to_string()),
+            collected_unix: 0,
+            iteration: 0,
+        };
+        assert_eq!(r, &want, "{market:?}");
+    }
+
+    #[test]
+    fn every_market_extracts_every_present_field() {
+        for market in ALL_MARKETPLACES {
+            let (seller, listing) = full_listing(market);
+            assert_extracted(&seller, &listing, &render_and_extract(&seller, &listing));
+        }
+    }
+
+    #[test]
+    fn every_market_extracts_absent_fields_as_absent() {
+        for market in ALL_MARKETPLACES {
+            let (seller, listing) = sparse_listing(market);
+            assert_extracted(&seller, &listing, &render_and_extract(&seller, &listing));
+        }
+    }
+
+    #[test]
+    fn both_seller_displays_are_covered() {
+        assert!(ALL_MARKETPLACES.iter().any(|m| m.shows_sellers()));
+        assert!(ALL_MARKETPLACES.iter().any(|m| !m.shows_sellers()));
     }
 
     #[test]

@@ -11,12 +11,14 @@
 //! [`UndergroundCollector`] drives a *manual-persona* client over a Tor
 //! circuit through exactly that procedure.
 
+use crate::extract::{compiled, hrefs_under, parse_price, text_of};
 use crate::record::UndergroundRecord;
 use acctrade_html::{parse, Selector};
 use acctrade_net::client::Client;
 use acctrade_net::http::Status;
 use acctrade_social::platform::{Platform, ALL_PLATFORMS};
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 /// §3.2's collection caps.
 pub(crate) const MAX_PAGES: usize = 5;
@@ -161,33 +163,31 @@ impl<'a> UndergroundCollector<'a> {
 }
 
 fn extract_thread_links(html: &str) -> Vec<String> {
-    let doc = parse(html);
-    doc.select(&Selector::parse("a").expect("static selector")) // conformance: allow(panic-policy) — selector literal is valid
-        .into_iter()
-        .filter_map(|a| a.attr("href"))
-        .filter(|h| h.starts_with("/thread/"))
-        .map(str::to_string)
-        .collect()
+    hrefs_under(html, "/thread/")
 }
 
 /// Parse one thread page into a record (the §4.2 fields; "not all fields
 /// were consistently available across forums").
 fn parse_thread(market: &str, url: &str, html: &str) -> Option<UndergroundRecord> {
+    static SELECTORS: OnceLock<[Selector; 8]> = OnceLock::new();
     let doc = parse(html);
-    let sel = |s: &str| Selector::parse(s).expect("static selector"); // conformance: allow(panic-policy) — callers pass valid selector literals
-    let text = |s: &str| doc.select_first(&sel(s)).map(|e| e.text()).filter(|t| !t.is_empty());
-    let title = text(".title")?;
+    let selectors = compiled(
+        &SELECTORS,
+        [".title", ".body", ".author", ".platform", ".date", ".replies", ".price", ".quantity"],
+    );
+    let [title, body, author, platform, date, replies, price, quantity] =
+        selectors.each_ref().map(|s| doc.select_first(s));
     Some(UndergroundRecord {
         market: market.to_string(),
         url: url.to_string(),
-        title,
-        body: text(".body").unwrap_or_default(),
-        author: text(".author").unwrap_or_default(),
-        platform: text(".platform").and_then(|p| Platform::parse(&p)).map(|p| p.name().to_string()),
-        published_unix: text(".date").and_then(|d| parse_date(&d)),
-        replies: text(".replies").and_then(|r| r.parse().ok()),
-        price_usd: text(".price").as_deref().and_then(crate::extract::parse_price),
-        quantity: text(".quantity").and_then(|q| q.parse().ok()),
+        title: text_of(title)?,
+        body: text_of(body).unwrap_or_default(),
+        author: text_of(author).unwrap_or_default(),
+        platform: text_of(platform).and_then(|p| Platform::parse(&p)).map(|p| p.name().to_string()),
+        published_unix: text_of(date).and_then(|d| parse_date(&d)),
+        replies: text_of(replies).and_then(|r| r.parse().ok()),
+        price_usd: text_of(price).as_deref().and_then(parse_price),
+        quantity: text_of(quantity).and_then(|q| q.parse().ok()),
         screenshot: true, // the paper screenshotted every posting
     })
 }

@@ -33,16 +33,22 @@ pub enum Node {
 /// Nodes live in an arena; the document root is a virtual element that holds
 /// top-level nodes. Use [`Document::select`] to query, [`Document::render`]
 /// to serialize.
+///
+/// Nodes are only ever attached at creation, as the last child of an open
+/// element (or as a new top-level node), so the arena is in document order
+/// and each node's parent is known when it is pushed.
 #[derive(Debug, Clone)]
 pub struct Document {
     nodes: Vec<Node>,
+    /// `parents[id]`: the element holding `id`, `None` for top-level nodes.
+    parents: Vec<Option<NodeId>>,
     root_children: Vec<NodeId>,
 }
 
 impl Document {
     /// An empty document.
     pub fn new() -> Document {
-        Document { nodes: Vec::new(), root_children: Vec::new() }
+        Document { nodes: Vec::new(), parents: Vec::new(), root_children: Vec::new() }
     }
 
     /// Number of nodes in the arena.
@@ -65,19 +71,21 @@ impl Document {
         &self.root_children
     }
 
-    pub(crate) fn push_node(&mut self, node: Node) -> NodeId {
+    /// Push `node` as the last child of `parent` (or as a new top-level
+    /// node) and return its id.
+    pub(crate) fn attach(&mut self, parent: Option<NodeId>, node: Node) -> NodeId {
+        let id = self.nodes.len();
         self.nodes.push(node);
-        self.nodes.len() - 1
-    }
-
-    pub(crate) fn add_root(&mut self, id: NodeId) {
-        self.root_children.push(id);
-    }
-
-    pub(crate) fn add_child(&mut self, parent: NodeId, child: NodeId) {
-        if let Node::Element { children, .. } = &mut self.nodes[parent] {
-            children.push(child);
+        self.parents.push(parent);
+        match parent {
+            Some(p) => {
+                if let Node::Element { children, .. } = &mut self.nodes[p] {
+                    children.push(id);
+                }
+            }
+            None => self.root_children.push(id),
         }
+        id
     }
 
     /// Wrap a node id for ergonomic traversal.
@@ -85,50 +93,31 @@ impl Document {
         ElementRef { doc: self, id }
     }
 
-    /// All element ids in depth-first document order.
-    pub fn all_elements(&self) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack: Vec<NodeId> = self.root_children.iter().rev().copied().collect();
-        while let Some(id) = stack.pop() {
-            if let Node::Element { children, .. } = &self.nodes[id] {
-                out.push(id);
-                for &c in children.iter().rev() {
-                    stack.push(c);
-                }
-            }
-        }
-        out
+    /// Element ids in document order (the arena's order).
+    fn element_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| matches!(n, Node::Element { .. }))
+            .map(|(id, _)| id)
     }
 
     /// Elements matching a selector, in document order.
     pub fn select(&self, selector: &Selector) -> Vec<ElementRef<'_>> {
-        self.all_elements()
-            .into_iter()
+        self.element_ids()
             .filter(|&id| selector.matches(self, id))
             .map(|id| self.element(id))
             .collect()
     }
 
-    /// First element matching a selector.
+    /// First element matching a selector; the walk stops there.
     pub fn select_first(&self, selector: &Selector) -> Option<ElementRef<'_>> {
-        self.all_elements()
-            .into_iter()
-            .find(|&id| selector.matches(self, id))
-            .map(|id| self.element(id))
+        self.element_ids().find(|&id| selector.matches(self, id)).map(|id| self.element(id))
     }
 
-    /// Parent of `id`, if any (linear scan; documents here are page-sized).
+    /// Parent element of `id`; `None` for a top-level node.
     pub fn parent_of(&self, id: NodeId) -> Option<NodeId> {
-        self.all_ids_with_children()
-            .find(|(_, children)| children.contains(&id))
-            .map(|(pid, _)| pid)
-    }
-
-    fn all_ids_with_children(&self) -> impl Iterator<Item = (NodeId, Vec<NodeId>)> + '_ {
-        self.nodes.iter().enumerate().filter_map(|(i, n)| match n {
-            Node::Element { children, .. } => Some((i, children.clone())),
-            _ => None,
-        })
+        self.parents[id]
     }
 
     /// Serialize the document to HTML.
@@ -210,16 +199,9 @@ impl<'a> ElementRef<'a> {
         }
     }
 
-    /// Space-separated class list.
-    pub fn classes(&self) -> Vec<&'a str> {
-        self.attr("class")
-            .map(|c| c.split_whitespace().collect())
-            .unwrap_or_default()
-    }
-
     /// `true` if the element carries the class.
     pub fn has_class(&self, class: &str) -> bool {
-        self.classes().contains(&class)
+        self.attr("class").is_some_and(|c| c.split_whitespace().any(|have| have == class))
     }
 
     /// Child element refs.
@@ -234,48 +216,65 @@ impl<'a> ElementRef<'a> {
         }
     }
 
-    /// Concatenated text content of the subtree, whitespace-normalized.
+    /// Concatenated text content of the subtree, whitespace-normalized:
+    /// the words of every text node, in document order, joined by single
+    /// spaces.
     pub fn text(&self) -> String {
-        let mut parts: Vec<String> = Vec::new();
-        self.collect_text(self.id, &mut parts);
-        parts.join(" ").split_whitespace().collect::<Vec<_>>().join(" ")
+        let mut out = String::new();
+        self.push_words(self.id, &mut out);
+        out
     }
 
-    fn collect_text(&self, id: NodeId, out: &mut Vec<String>) {
+    fn push_words(&self, id: NodeId, out: &mut String) {
         match self.doc.node(id) {
-            Node::Text(t) => out.push(t.clone()),
+            Node::Text(t) => {
+                for word in t.split_whitespace() {
+                    if !out.is_empty() {
+                        out.push(' ');
+                    }
+                    out.push_str(word);
+                }
+            }
             Node::Element { children, .. } => {
                 for &c in children {
-                    self.collect_text(c, out);
+                    self.push_words(c, out);
                 }
             }
             Node::Comment(_) => {}
         }
     }
 
-    /// Descendant elements matching a selector, in document order.
-    pub fn select(&self, selector: &Selector) -> Vec<ElementRef<'a>> {
-        let mut out = Vec::new();
-        let mut stack: Vec<NodeId> = match self.doc.node(self.id) {
+    /// Descendant element ids in document order.
+    fn descendant_ids(&self) -> impl Iterator<Item = NodeId> + 'a {
+        let doc = self.doc;
+        let mut stack: Vec<NodeId> = match doc.node(self.id) {
             Node::Element { children, .. } => children.iter().rev().copied().collect(),
             _ => Vec::new(),
         };
-        while let Some(id) = stack.pop() {
-            if let Node::Element { children, .. } = self.doc.node(id) {
-                if selector.matches(self.doc, id) {
-                    out.push(ElementRef { doc: self.doc, id });
-                }
-                for &c in children.iter().rev() {
-                    stack.push(c);
+        std::iter::from_fn(move || {
+            while let Some(id) = stack.pop() {
+                if let Node::Element { children, .. } = doc.node(id) {
+                    stack.extend(children.iter().rev());
+                    return Some(id);
                 }
             }
-        }
-        out
+            None
+        })
     }
 
-    /// First descendant matching a selector.
+    /// Descendant elements matching a selector, in document order.
+    pub fn select(&self, selector: &Selector) -> Vec<ElementRef<'a>> {
+        let doc = self.doc;
+        self.descendant_ids()
+            .filter(|&id| selector.matches(doc, id))
+            .map(|id| ElementRef { doc, id })
+            .collect()
+    }
+
+    /// First descendant matching a selector; the walk stops there.
     pub fn select_first(&self, selector: &Selector) -> Option<ElementRef<'a>> {
-        self.select(selector).into_iter().next()
+        let doc = self.doc;
+        self.descendant_ids().find(|&id| selector.matches(doc, id)).map(|id| ElementRef { doc, id })
     }
 
     /// The document this element belongs to.
@@ -309,15 +308,9 @@ impl Builder {
 
     /// Open an element and descend into it.
     pub fn open(&mut self, tag: &str) -> &mut Builder {
-        let id = self.doc.push_node(Node::Element {
-            tag: tag.to_ascii_lowercase(),
-            attrs: Vec::new(),
-            children: Vec::new(),
-        });
-        match self.stack.last() {
-            Some(&parent) => self.doc.add_child(parent, id),
-            None => self.doc.add_root(id),
-        }
+        let tag = tag.to_ascii_lowercase();
+        let element = Node::Element { tag, attrs: Vec::new(), children: Vec::new() };
+        let id = self.doc.attach(self.stack.last().copied(), element);
         self.stack.push(id);
         self
     }
@@ -334,21 +327,13 @@ impl Builder {
 
     /// Append a text node to the innermost open element.
     pub fn text(&mut self, content: impl Into<String>) -> &mut Builder {
-        let id = self.doc.push_node(Node::Text(content.into()));
-        match self.stack.last() {
-            Some(&parent) => self.doc.add_child(parent, id),
-            None => self.doc.add_root(id),
-        }
+        self.doc.attach(self.stack.last().copied(), Node::Text(content.into()));
         self
     }
 
     /// Append a comment node.
     pub fn comment(&mut self, content: impl Into<String>) -> &mut Builder {
-        let id = self.doc.push_node(Node::Comment(content.into()));
-        match self.stack.last() {
-            Some(&parent) => self.doc.add_child(parent, id),
-            None => self.doc.add_root(id),
-        }
+        self.doc.attach(self.stack.last().copied(), Node::Comment(content.into()));
         self
     }
 
@@ -429,9 +414,11 @@ mod tests {
         b.open("div").attr("class", "offer featured sold").close();
         let doc = b.finish();
         let el = doc.element(doc.roots()[0]);
-        assert!(el.has_class("featured"));
+        for class in ["offer", "featured", "sold"] {
+            assert!(el.has_class(class), "{class}");
+        }
         assert!(!el.has_class("off"));
-        assert_eq!(el.classes().len(), 3);
+        assert!(!el.has_class("offer featured"));
     }
 
     #[test]

@@ -31,46 +31,55 @@ pub fn escape_attr(s: &str) -> String {
 
 /// Unescape the named entities we emit plus `&#NN;` / `&#xHH;` numeric
 /// references. Unknown entities pass through literally (browser behaviour).
+/// Runs without `&` are copied in one step.
 pub fn unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'&' {
-            if let Some(semi) = s[i..].find(';').map(|j| i + j) {
-                let entity = &s[i + 1..semi];
-                let decoded = match entity {
-                    "amp" => Some('&'),
-                    "lt" => Some('<'),
-                    "gt" => Some('>'),
-                    "quot" => Some('"'),
-                    "apos" => Some('\''),
-                    "nbsp" => Some('\u{a0}'),
-                    _ => {
-                        if let Some(hex) = entity.strip_prefix("#x").or(entity.strip_prefix("#X")) {
-                            u32::from_str_radix(hex, 16).ok().and_then(char::from_u32)
-                        } else if let Some(dec) = entity.strip_prefix('#') {
-                            dec.parse::<u32>().ok().and_then(char::from_u32)
-                        } else {
-                            None
-                        }
-                    }
-                };
-                if let Some(c) = decoded {
-                    // Entities longer than 24 chars are junk, not entities.
-                    if entity.len() <= 24 {
-                        out.push(c);
-                        i = semi + 1;
-                        continue;
-                    }
-                }
+    let mut rest = s;
+    while let Some(amp) = rest.find('&') {
+        out.push_str(&rest[..amp]);
+        rest = &rest[amp..];
+        match decode_entity(rest) {
+            Some((c, len)) => {
+                out.push(c);
+                rest = &rest[len..];
+            }
+            None => {
+                out.push('&');
+                rest = &rest[1..];
             }
         }
-        let ch = s[i..].chars().next().expect("in-bounds char"); // conformance: allow(panic-policy) — i < s.len() on a char boundary by loop construction
-        out.push(ch);
-        i += ch.len_utf8();
     }
+    out.push_str(rest);
     out
+}
+
+/// Longest entity name (between `&` and `;`) that decodes; longer ones
+/// are junk, not entities.
+const MAX_ENTITY_LEN: usize = 24;
+
+/// Decode the entity `s` starts with (`s` begins with `&`): the char and
+/// the entity's length in bytes, `;` included.
+fn decode_entity(s: &str) -> Option<(char, usize)> {
+    // The first `;` must close a name of at most `MAX_ENTITY_LEN` bytes.
+    // It is ASCII, so its byte position is a char boundary.
+    let semi = s.bytes().skip(1).take(MAX_ENTITY_LEN + 1).position(|b| b == b';')? + 1;
+    let entity = &s[1..semi];
+    let c = match entity {
+        "amp" => '&',
+        "lt" => '<',
+        "gt" => '>',
+        "quot" => '"',
+        "apos" => '\'',
+        "nbsp" => '\u{a0}',
+        _ => {
+            if let Some(hex) = entity.strip_prefix("#x").or(entity.strip_prefix("#X")) {
+                u32::from_str_radix(hex, 16).ok().and_then(char::from_u32)?
+            } else {
+                entity.strip_prefix('#')?.parse::<u32>().ok().and_then(char::from_u32)?
+            }
+        }
+    };
+    Some((c, semi + 1))
 }
 
 #[cfg(test)]

@@ -1,10 +1,16 @@
-//! A tolerant HTML parser: tokenizer + tree builder.
+//! A tolerant HTML parser that builds the tree as it scans.
 //!
 //! Real marketplace HTML is messy; the paper's crawler had to survive it.
 //! This parser implements browser-like error tolerance for the cases that
 //! occur in our templates and their mutations: unclosed tags, stray closing
 //! tags, attributes with or without quotes, void elements, comments, and
 //! doctype declarations.
+//!
+//! There is one pass and no token list: each text run, comment and tag is
+//! attached to the document the moment it is scanned, under the innermost
+//! open element. The open-element stack holds [`NodeId`]s, and a close tag
+//! pops back to the nearest open element whose tag matches it without
+//! regard to ASCII case.
 
 use crate::dom::{Document, Node, NodeId, VOID_ELEMENTS};
 use crate::escape::unescape;
@@ -12,92 +18,90 @@ use crate::escape::unescape;
 /// Parse HTML text into a [`Document`]. Never fails; invalid constructs are
 /// skipped or auto-corrected like a browser would.
 pub fn parse(input: &str) -> Document {
-    let tokens = tokenize(input);
-    build_tree(tokens)
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Open { tag: String, attrs: Vec<(String, String)>, self_closing: bool },
-    Close { tag: String },
-    Text(String),
-    Comment(String),
-}
-
-fn tokenize(input: &str) -> Vec<Token> {
-    let bytes = input.as_bytes();
-    let mut tokens = Vec::new();
+    let mut tree = TreeBuilder { doc: Document::new(), open: Vec::new() };
     let mut i = 0;
-    let mut text_start = 0;
-
-    while i < bytes.len() {
-        if bytes[i] == b'<' {
-            // Flush pending text.
-            if i > text_start {
-                let raw = &input[text_start..i];
-                if !raw.is_empty() {
-                    tokens.push(Token::Text(unescape(raw)));
+    // Text runs end at the next '<'; everything up to it is one text node.
+    while let Some(lt) = input[i..].find('<').map(|j| i + j) {
+        tree.text(&input[i..lt]);
+        let rest = &input[lt..];
+        i = if let Some(body) = rest.strip_prefix("<!--") {
+            match body.find("-->") {
+                Some(e) => {
+                    tree.attach(Node::Comment(body[..e].to_string()));
+                    lt + 4 + e + 3
+                }
+                None => {
+                    // Unterminated comment swallows the rest.
+                    tree.attach(Node::Comment(body.to_string()));
+                    input.len()
                 }
             }
-            if input[i..].starts_with("<!--") {
-                let end = input[i + 4..].find("-->").map(|j| i + 4 + j);
-                match end {
-                    Some(e) => {
-                        tokens.push(Token::Comment(input[i + 4..e].to_string()));
-                        i = e + 3;
-                    }
-                    None => {
-                        // Unterminated comment swallows the rest.
-                        tokens.push(Token::Comment(input[i + 4..].to_string()));
-                        i = bytes.len();
-                    }
-                }
-                text_start = i;
-                continue;
-            }
-            if input[i..].starts_with("<!") {
-                // DOCTYPE or bogus declaration: skip to '>'.
-                match input[i..].find('>') {
-                    Some(j) => i += j + 1,
-                    None => i = bytes.len(),
-                }
-                text_start = i;
-                continue;
-            }
-            match input[i..].find('>') {
+        } else if rest.starts_with("<!") {
+            // DOCTYPE or bogus declaration: skip to '>'.
+            rest.find('>').map_or(input.len(), |j| lt + j + 1)
+        } else {
+            match rest.find('>') {
                 Some(j) => {
-                    let inner = &input[i + 1..i + j];
-                    i += j + 1;
-                    text_start = i;
-                    if let Some(tag) = inner.strip_prefix('/') {
-                        let tag = tag.trim().to_ascii_lowercase();
-                        if !tag.is_empty() {
-                            tokens.push(Token::Close { tag });
-                        }
-                    } else if !inner.trim().is_empty() {
-                        if let Some(tok) = parse_open_tag(inner) {
-                            tokens.push(tok);
-                        }
-                    }
+                    tree.tag(&rest[1..j]);
+                    lt + j + 1
                 }
                 None => {
                     // Dangling '<' at EOF: treat as text.
-                    tokens.push(Token::Text(unescape(&input[i..])));
-                    i = bytes.len();
-                    text_start = i;
+                    tree.text(rest);
+                    input.len()
                 }
             }
-        } else {
-            i += 1;
-        }
+        };
     }
-    if text_start < bytes.len() {
-        tokens.push(Token::Text(unescape(&input[text_start..])));
-    }
-    tokens
+    tree.text(&input[i..]);
+    tree.doc
 }
 
-fn parse_open_tag(inner: &str) -> Option<Token> {
+/// The document under construction and its open elements, innermost last.
+struct TreeBuilder {
+    doc: Document,
+    open: Vec<NodeId>,
+}
+
+impl TreeBuilder {
+    fn attach(&mut self, node: Node) -> NodeId {
+        self.doc.attach(self.open.last().copied(), node)
+    }
+
+    fn text(&mut self, raw: &str) {
+        if !raw.is_empty() {
+            self.attach(Node::Text(unescape(raw)));
+        }
+    }
+
+    /// One `<...>` tag, given what lies between the brackets.
+    fn tag(&mut self, inner: &str) {
+        if let Some(name) = inner.strip_prefix('/') {
+            // Pop to the matching open tag; if none is open, ignore the
+            // stray close (browser behaviour). No open tag is empty, so
+            // `</>` matches nothing.
+            let name = name.trim();
+            let doc = &self.doc;
+            let matching = self.open.iter().rposition(|&id| match doc.node(id) {
+                Node::Element { tag, .. } => tag.eq_ignore_ascii_case(name),
+                _ => false,
+            });
+            if let Some(pos) = matching {
+                self.open.truncate(pos);
+            }
+        } else if let Some((element, keeps_open)) = parse_open_tag(inner) {
+            let id = self.attach(element);
+            if keeps_open {
+                self.open.push(id);
+            }
+        }
+    }
+}
+
+/// The element an open tag makes (tag name ASCII-lowercased), and whether
+/// it stays open for children (neither void nor self-closing); `None` when
+/// the name does not start with a letter.
+fn parse_open_tag(inner: &str) -> Option<(Node, bool)> {
     let inner = inner.trim();
     let self_closing = inner.ends_with('/');
     let inner = inner.strip_suffix('/').unwrap_or(inner).trim();
@@ -110,8 +114,9 @@ fn parse_open_tag(inner: &str) -> Option<Token> {
     if tag.is_empty() || !tag.chars().next().is_some_and(|c| c.is_ascii_alphabetic()) {
         return None;
     }
+    let keeps_open = !self_closing && !VOID_ELEMENTS.contains(&tag.as_str());
     let attrs = parse_attrs(&inner[tag_end..]);
-    Some(Token::Open { tag, attrs, self_closing })
+    Some((Node::Element { tag, attrs, children: Vec::new() }, keeps_open))
 }
 
 fn parse_attrs(s: &str) -> Vec<(String, String)> {
@@ -181,51 +186,6 @@ fn parse_attrs(s: &str) -> Vec<(String, String)> {
         }
     }
     attrs
-}
-
-fn build_tree(tokens: Vec<Token>) -> Document {
-    let mut doc = Document::new();
-    let mut stack: Vec<(NodeId, String)> = Vec::new();
-
-    let attach = |doc: &mut Document, stack: &[(NodeId, String)], node: Node| -> NodeId {
-        let id = doc.push_node(node);
-        match stack.last() {
-            Some(&(parent, _)) => doc.add_child(parent, id),
-            None => doc.add_root(id),
-        }
-        id
-    };
-
-    for token in tokens {
-        match token {
-            Token::Text(t) => {
-                if !t.is_empty() {
-                    attach(&mut doc, &stack, Node::Text(t));
-                }
-            }
-            Token::Comment(c) => {
-                attach(&mut doc, &stack, Node::Comment(c));
-            }
-            Token::Open { tag, attrs, self_closing } => {
-                let id = attach(
-                    &mut doc,
-                    &stack,
-                    Node::Element { tag: tag.clone(), attrs, children: Vec::new() },
-                );
-                if !self_closing && !VOID_ELEMENTS.contains(&tag.as_str()) {
-                    stack.push((id, tag));
-                }
-            }
-            Token::Close { tag } => {
-                // Pop to the matching open tag; if none is open, ignore the
-                // stray close (browser behaviour).
-                if let Some(pos) = stack.iter().rposition(|(_, t)| *t == tag) {
-                    stack.truncate(pos);
-                }
-            }
-        }
-    }
-    doc
 }
 
 #[cfg(test)]

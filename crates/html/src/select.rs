@@ -43,8 +43,8 @@ impl Compound {
             }
         }
         if !self.classes.is_empty() {
-            let have: Vec<&str> = get("class").map(|c| c.split_whitespace().collect()).unwrap_or_default();
-            if !self.classes.iter().all(|c| have.contains(&c.as_str())) {
+            let have = get("class").unwrap_or_default();
+            if !self.classes.iter().all(|c| have.split_whitespace().any(|h| h == c)) {
                 return false;
             }
         }
@@ -103,18 +103,16 @@ impl Selector {
             return false;
         }
         // Walk ancestors, greedily consuming the prefix right-to-left.
-        let mut needed: Vec<&Compound> = prefix.iter().collect();
+        let mut needed = prefix.iter().rev().peekable();
         let mut current = id;
-        while let Some(next_needed) = needed.last() {
-            match doc.parent_of(current) {
-                Some(parent) => {
-                    if next_needed.matches(doc, parent) {
-                        needed.pop();
-                    }
-                    current = parent;
-                }
-                None => return false,
+        while let Some(next_needed) = needed.peek() {
+            let Some(parent) = doc.parent_of(current) else {
+                return false;
+            };
+            if next_needed.matches(doc, parent) {
+                needed.next();
             }
+            current = parent;
         }
         true
     }

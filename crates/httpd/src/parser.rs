@@ -150,12 +150,7 @@ impl RequestParser {
     pub fn next_request(&mut self) -> Result<Option<ParsedRequest>, ParseError> {
         // Locate the head terminator, resuming the scan where the last
         // call left off (torn reads never rescan the whole head).
-        let from = self.scanned.saturating_sub(3);
-        let head_end = self.buf[from..]
-            .windows(4)
-            .position(|w| w == b"\r\n\r\n")
-            .map(|i| i + from);
-        let Some(head_end) = head_end else {
+        let Some(head_end) = head_end(&self.buf, self.scanned) else {
             self.scanned = self.buf.len();
             if self.buf.len() > MAX_HEAD_BYTES {
                 return Err(ParseError::HeadTooLarge(MAX_HEAD_BYTES));
@@ -184,6 +179,15 @@ impl RequestParser {
         self.scanned = 0;
         Ok(Some(ParsedRequest { body, ..request }))
     }
+}
+
+/// Offset of the first `\r\n\r\n` in `buf`, searching from three bytes
+/// before `scanned`, the length already searched (a terminator may
+/// straddle the previous read). Shared by the server's parser and the
+/// loopback client.
+pub(crate) fn head_end(buf: &[u8], scanned: usize) -> Option<usize> {
+    let from = scanned.saturating_sub(3);
+    buf[from..].windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + from)
 }
 
 /// Parse the head (request line + header lines, no terminator).

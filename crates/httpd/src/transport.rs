@@ -15,6 +15,7 @@
 //! deterministic comparisons strip them (see
 //! `crawler::merge::normalize_for_parity`).
 
+use crate::parser::head_end;
 use acctrade_net::error::{NetError, NetResult};
 use acctrade_net::http::{self, Request, Response};
 use acctrade_net::robots::RobotsPolicy;
@@ -148,12 +149,15 @@ fn read_full_response(conn: &mut TcpStream) -> std::io::Result<Vec<u8>> {
     let mut wire = Vec::with_capacity(1024);
     let mut buf = [0u8; 8192];
     let mut need: Option<usize> = None;
+    // Bytes already searched for the head terminator; each read resumes
+    // three bytes back, so a long head is scanned once, not once per read.
+    let mut scanned = 0;
     loop {
         if let Some(total) = need {
             if wire.len() >= total {
                 return Ok(wire);
             }
-        } else if let Some(head_end) = wire.windows(4).position(|w| w == b"\r\n\r\n") {
+        } else if let Some(head_end) = head_end(&wire, scanned) {
             let body_len =
                 content_length(&wire[..head_end]).ok_or_else(|| invalid("unframed response"))?;
             // The declared length is the peer's word: refuse it before
@@ -174,6 +178,7 @@ fn read_full_response(conn: &mut TcpStream) -> std::io::Result<Vec<u8>> {
                 "connection closed mid-response",
             ));
         }
+        scanned = wire.len();
         wire.extend_from_slice(&buf[..n]);
     }
 }

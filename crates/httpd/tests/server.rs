@@ -237,6 +237,38 @@ fn loopback_transport_refuses_an_oversized_content_length() {
     peer.join().expect("peer thread");
 }
 
+/// A peer that streams a head past the response ceiling without ever
+/// ending it is refused as a protocol error. The client resumes its scan
+/// for the head's end after each read, so the refusal costs time linear
+/// in the ceiling.
+#[test]
+fn loopback_transport_refuses_an_unterminated_head_past_the_ceiling() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let transport = LoopbackTransport::new(listener.local_addr().unwrap());
+    let peer = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        let mut request = Vec::new();
+        let mut buf = [0u8; 1024];
+        while !request.windows(4).any(|w| w == b"\r\n\r\n") {
+            let n = conn.read(&mut buf).expect("read the request");
+            assert!(n > 0, "the client hung up mid-request");
+            request.extend_from_slice(&buf[..n]);
+        }
+        // One header line that never ends, 9 MiB against the 8 MiB
+        // ceiling; the client hangs up once it refuses, so writes may fail.
+        let _ = conn.write_all(b"HTTP/1.1 200 OK\r\nx-filler: ");
+        let chunk = [b'a'; 64 * 1024];
+        for _ in 0..(9 * 16) {
+            if conn.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    let err = transport.send(&Request::get(Url::http("test.example", "/hello"))).unwrap_err();
+    assert!(matches!(err, NetError::Protocol(_)), "{err:?}");
+    peer.join().expect("peer thread");
+}
+
 /// The drain guarantee: once a client has a served connection, shutdown
 /// never leaves it with a *partial* response. Ends at a clean boundary
 /// (full response or EOF between requests) for every client.

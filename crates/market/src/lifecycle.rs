@@ -11,9 +11,10 @@
 use crate::config::MarketplaceId;
 use crate::listing::{Listing, ListingId, ListingState};
 use crate::seller::{Seller, SellerId};
-use acctrade_social::platform::Platform;
+use acctrade_social::platform::{Platform, ALL_PLATFORMS};
 use foundation::rng::{Rng, RngExt};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Mutable state of one public marketplace.
 #[derive(Debug, Clone)]
@@ -23,6 +24,10 @@ pub struct MarketState {
     listings: HashMap<ListingId, Listing>,
     /// Listing ids in insertion order (stable pagination).
     order: Vec<ListingId>,
+    /// Active listing ids per platform (indexed by `Platform as usize`),
+    /// in insertion order. Built on the first read after a change; every
+    /// `&mut self` method that can change a listing drops it.
+    active: OnceLock<[Vec<ListingId>; ALL_PLATFORMS.len()]>,
     next_seller: u64,
     next_listing: u64,
 }
@@ -44,6 +49,7 @@ impl MarketState {
             sellers: HashMap::new(),
             listings: HashMap::new(),
             order: Vec::new(),
+            active: OnceLock::new(),
             next_seller: 1,
             next_listing: 1,
         }
@@ -90,6 +96,7 @@ impl MarketState {
         let id = listing.id;
         self.order.push(id);
         self.listings.insert(id, listing);
+        self.active.take();
         id
     }
 
@@ -119,18 +126,23 @@ impl MarketState {
         self.listings.values().filter(|l| l.is_active()).count()
     }
 
-    /// Active listings for one platform, in insertion order.
-    pub fn active_for_platform(&self, platform: Platform) -> Vec<&Listing> {
-        self.order
-            .iter()
-            .filter_map(|id| self.listings.get(id))
-            .filter(|l| l.is_active() && l.platform == platform)
-            .collect()
+    /// Ids of the active listings for one platform, in insertion order.
+    pub fn active_for_platform(&self, platform: Platform) -> &[ListingId] {
+        let active = self.active.get_or_init(|| {
+            let mut active: [Vec<ListingId>; ALL_PLATFORMS.len()] = Default::default();
+            for l in self.order.iter().filter_map(|id| self.listings.get(id)) {
+                if l.is_active() {
+                    active[l.platform as usize].push(l.id);
+                }
+            }
+            active
+        });
+        &active[platform as usize]
     }
 
     /// Platforms that currently have active stock, in canonical order.
     pub fn stocked_platforms(&self) -> Vec<Platform> {
-        acctrade_social::platform::ALL_PLATFORMS
+        ALL_PLATFORMS
             .into_iter()
             .filter(|&p| !self.active_for_platform(p).is_empty())
             .collect()
@@ -143,6 +155,7 @@ impl MarketState {
 
     /// Mutable listing access.
     pub fn listing_mut(&mut self, id: ListingId) -> Option<&mut Listing> {
+        self.active.take();
         self.listings.get_mut(&id)
     }
 
@@ -157,6 +170,7 @@ impl MarketState {
         now_unix: i64,
         rng: &mut R,
     ) -> ChurnReport {
+        self.active.take();
         let mut report = ChurnReport::default();
         let ids: Vec<ListingId> = self.order.clone();
         for id in ids {
@@ -257,6 +271,57 @@ mod tests {
         s.add_seller(Seller::new(sid, "x"));
         let lid = s.next_listing_id();
         s.add_listing(Listing::new(lid, MarketplaceId::MidMan, Platform::X, sid, 1.0));
+    }
+
+    foundation::prop_check! {
+        /// The per-platform index never goes stale: after every step of
+        /// any mix of listings added, churned and closed one by one, each
+        /// platform's active list is the insertion-order filter of every
+        /// listing.
+        fn active_index_tracks_every_change(
+            steps in foundation::check::vec((0u8..3, 0u64..1_000), 1..60),
+        ) {
+            let mut s = state_with_listings(0, 0.0);
+            let sid = SellerId(1);
+            for (i, &(op, arg)) in steps.iter().enumerate() {
+                match op {
+                    0 => {
+                        let lid = s.next_listing_id();
+                        let platform = ALL_PLATFORMS[arg as usize % ALL_PLATFORMS.len()];
+                        let price = [50.0, 500.0, 50_000.0][arg as usize % 3];
+                        s.add_listing(Listing::new(lid, s.id(), platform, sid, price));
+                    }
+                    1 => {
+                        let mut rng = ChaCha8Rng::seed_from_u64(arg);
+                        s.churn(0.2, 0.1, i as i64, &mut rng);
+                    }
+                    _ => {
+                        let n = s.cumulative_count() as u64;
+                        let terminal = [ListingState::Sold, ListingState::Delisted][arg as usize % 2];
+                        if n > 0 {
+                            let id = ListingId(arg % n + 1);
+                            if let Some(l) = s.listing_mut(id).filter(|l| l.is_active()) {
+                                l.close(terminal, i as i64);
+                            }
+                        }
+                    }
+                }
+                let mut stocked = Vec::new();
+                for p in ALL_PLATFORMS {
+                    let want: Vec<ListingId> = s
+                        .listings_sorted()
+                        .into_iter()
+                        .filter(|l| l.is_active() && l.platform == p)
+                        .map(|l| l.id)
+                        .collect();
+                    assert_eq!(s.active_for_platform(p), want, "{p:?} after step {i} ({op}, {arg})");
+                    if !want.is_empty() {
+                        stocked.push(p);
+                    }
+                }
+                assert_eq!(s.stocked_platforms(), stocked, "after step {i}");
+            }
+        }
     }
 
     #[test]

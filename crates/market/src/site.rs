@@ -67,21 +67,29 @@ pub fn format_price(usd: f64) -> String {
 /// The web app serving one marketplace's state.
 pub struct MarketplaceSite {
     state: Arc<RwLock<MarketState>>,
+    market: MarketplaceId,
+    robots: RobotsPolicy,
 }
 
 impl MarketplaceSite {
     /// Wrap a shared market state.
     pub fn new(state: Arc<RwLock<MarketState>>) -> MarketplaceSite {
-        MarketplaceSite { state }
+        let market = state.read().id();
+        // Real marketplaces fence off account areas; the two biggest also
+        // ask crawlers to slow down. The study's crawler honours both.
+        let delay = match market {
+            MarketplaceId::Accsmarket | MarketplaceId::Z2U => "Crawl-delay: 1\n",
+            _ => "",
+        };
+        let robots = RobotsPolicy::parse(&format!(
+            "User-agent: *\nDisallow: /seller/\nDisallow: /checkout\n{delay}"
+        ));
+        MarketplaceSite { state, market, robots }
     }
 
     /// The shared state handle.
     pub fn state(&self) -> Arc<RwLock<MarketState>> {
         Arc::clone(&self.state)
-    }
-
-    fn market(&self) -> MarketplaceId {
-        self.state.read().id()
     }
 
     fn storefront(&self) -> Response {
@@ -111,7 +119,12 @@ impl MarketplaceSite {
         if page >= total_pages && page != 0 {
             return Response::not_found("no such page");
         }
-        let slice: Vec<&&Listing> = offers.iter().skip(page * page_size).take(page_size).collect();
+        let slice: Vec<&Listing> = offers
+            .iter()
+            .skip(page * page_size)
+            .take(page_size)
+            .filter_map(|&id| state.listing(id))
+            .collect();
 
         let mut b = Builder::new();
         b.open("html").open("body");
@@ -318,7 +331,7 @@ impl MarketplaceSite {
     fn route_request(&self, req: &Request) -> Response {
         let path = req.url.path();
         if path == "/robots.txt" {
-            return Response::ok().with_text(self.robots().render());
+            return Response::ok().with_text(self.robots.render());
         }
         if path == "/" {
             return self.storefront();
@@ -344,7 +357,7 @@ impl MarketplaceSite {
             // Seller vanity pages exist but carry nothing the study needs.
             return Response::ok().with_html("<html><body>seller profile</body></html>");
         }
-        Response::not_found(&format!("no route for {path} on {}", self.market().name()))
+        Response::not_found(&format!("no route for {path} on {}", self.market.name()))
     }
 }
 
@@ -355,7 +368,7 @@ impl Service for MarketplaceSite {
             let code = resp.status.code().to_string();
             r.incr(
                 "market.pages_served",
-                &[("marketplace", self.market().name()), ("status", &code)],
+                &[("marketplace", self.market.name()), ("status", &code)],
                 1,
             );
         });
@@ -363,16 +376,7 @@ impl Service for MarketplaceSite {
     }
 
     fn robots(&self) -> RobotsPolicy {
-        // Real marketplaces fence off account areas; the two biggest also
-        // ask crawlers to slow down. The study's crawler honours both.
-        let market = self.market();
-        let delay = match market {
-            MarketplaceId::Accsmarket | MarketplaceId::Z2U => "Crawl-delay: 1\n",
-            _ => "",
-        };
-        RobotsPolicy::parse(&format!(
-            "User-agent: *\nDisallow: /seller/\nDisallow: /checkout\n{delay}"
-        ))
+        self.robots.clone()
     }
 }
 
